@@ -75,6 +75,9 @@ pub struct ChainResult {
     /// Simulated guest time accumulated by the acting primary (zero if
     /// the chain was exhausted).
     pub completion_time: SimDuration,
+    /// Instructions retired by the acting primary's guest (zero if the
+    /// chain was exhausted).
+    pub retired: u64,
     /// Hypervisor statistics per replica, in chain order (default for
     /// failstopped replicas).
     pub replica_stats: Vec<HvStats>,
@@ -277,8 +280,11 @@ impl TChain {
             loop {
                 match replica.guest.run(budget) {
                     HvEvent::EpochEnd => {
-                        self.lockstep
-                            .record(i, replica.guest.epoch(), replica.guest.state_hash());
+                        self.lockstep.record(
+                            i,
+                            replica.guest.epoch(),
+                            replica.guest.state_digest(),
+                        );
                         at_boundary.push(i);
                         break;
                     }
@@ -375,6 +381,7 @@ impl TChain {
     }
 
     fn result(&self, end: ChainEnd, failures: usize) -> ChainResult {
+        let head = self.replicas[self.head].as_ref();
         ChainResult {
             end,
             epochs: self.epoch,
@@ -382,10 +389,8 @@ impl TChain {
             console: self.console.clone(),
             comparisons: self.lockstep.compared(),
             promotions: self.promotions.clone(),
-            completion_time: self.replicas[self.head]
-                .as_ref()
-                .map(|r| r.guest.elapsed())
-                .unwrap_or(SimDuration::ZERO),
+            completion_time: head.map_or(SimDuration::ZERO, |r| r.guest.elapsed()),
+            retired: head.map_or(0, |r| r.guest.cpu.retired()),
             replica_stats: self
                 .replicas
                 .iter()
@@ -478,6 +483,16 @@ mod tests {
         assert_eq!(r.failures, 0);
         // Every boundary compared all four replicas.
         assert!(r.comparisons >= 3 * (r.epochs - 1), "{:?}", r.comparisons);
+    }
+
+    #[test]
+    fn result_reports_the_acting_primarys_retired_count() {
+        let mut c = chain(2);
+        let r = c.run(&[3], 100_000);
+        assert!(matches!(r.end, ChainEnd::Exit { .. }), "{:?}", r.end);
+        let head = c.replicas[c.head].as_ref().expect("a live head");
+        assert!(r.retired > 0);
+        assert_eq!(r.retired, head.guest.cpu.retired());
     }
 
     #[test]

@@ -13,10 +13,16 @@
 //! replicas, an epoch may receive up to `t + 1` hashes, and a divergence
 //! must say *which pair* disagreed so the failing replica can be
 //! identified (the reference hash travels with the report that set it).
+//!
+//! Each report is a [`StateDigest`]: the hash plus its register and
+//! per-page parts. So a divergence also says whether the registers
+//! differ and, for recent epochs, which RAM pages differ.
+
+use hvft_machine::statehash::StateDigest;
 
 /// One recorded divergence: a pair of replicas whose state hashes
 /// differed at the same epoch boundary.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Divergence {
     /// Epoch at whose boundary the states differed.
     pub epoch: u64,
@@ -28,12 +34,19 @@ pub struct Divergence {
     pub replica_b: usize,
     /// Disagreeing replica's state hash.
     pub hash_b: u64,
+    /// Whether the register part (registers, PC, PSW, hashed control
+    /// registers) differs.
+    pub regs_differ: bool,
+    /// Indices of the RAM pages whose digests differ, or `None` when the
+    /// reference's page digests had already left the `PAGE_WINDOW`.
+    pub pages: Option<Vec<usize>>,
 }
 
 /// Per-epoch record: the reference report plus how many reports arrived.
 #[derive(Clone, Copy, Debug)]
 struct EpochRecord {
     reference: (usize, u64),
+    reference_regs: u64,
     reports: u32,
 }
 
@@ -44,11 +57,18 @@ struct EpochRecord {
 /// runs without ever dropping a comparison that could still happen.
 const RETAIN_EPOCHS: u64 = 1024;
 
-/// Collects per-epoch state hashes from any number of replicas and
+/// How many of the most recent epochs keep the reference's page
+/// digests, to name the differing pages of a divergence. A backup lags
+/// by at most a couple of epochs; older divergences report no pages.
+const PAGE_WINDOW: u64 = 8;
+
+/// Collects per-epoch state digests from any number of replicas and
 /// reports mismatches.
 #[derive(Clone, Debug, Default)]
 pub struct LockstepChecker {
     epochs: std::collections::BTreeMap<u64, EpochRecord>,
+    /// Reference page digests of the most recent `PAGE_WINDOW` epochs.
+    reference_pages: std::collections::BTreeMap<u64, Vec<u64>>,
     compared: u64,
     divergences: Vec<Divergence>,
 }
@@ -60,11 +80,12 @@ impl LockstepChecker {
     }
 
     /// Records `replica` reaching the end of `epoch` with the given
-    /// state hash. The first report for an epoch becomes its reference;
-    /// every later report is compared against it. Records more than a
-    /// fixed window (`RETAIN_EPOCHS`) behind the newest reported epoch
-    /// are pruned, bounding memory for arbitrarily long runs.
-    pub fn record(&mut self, replica: usize, epoch: u64, hash: u64) {
+    /// state digest. The first report for an epoch becomes its
+    /// reference; every later report is compared against it. Records
+    /// more than a fixed window (`RETAIN_EPOCHS`) behind the newest
+    /// reported epoch are pruned, bounding memory for arbitrarily long
+    /// runs.
+    pub fn record(&mut self, replica: usize, epoch: u64, state: StateDigest) {
         if epoch > RETAIN_EPOCHS {
             let keep_from = epoch - RETAIN_EPOCHS;
             if self
@@ -80,22 +101,33 @@ impl LockstepChecker {
                 self.epochs.insert(
                     epoch,
                     EpochRecord {
-                        reference: (replica, hash),
+                        reference: (replica, state.hash),
+                        reference_regs: state.regs,
                         reports: 1,
                     },
                 );
+                self.reference_pages.insert(epoch, state.pages);
+                self.reference_pages.retain(|&e, _| e + PAGE_WINDOW > epoch);
             }
             Some(rec) => {
                 rec.reports += 1;
                 self.compared += 1;
                 let (ref_replica, ref_hash) = rec.reference;
-                if hash != ref_hash {
+                if state.hash != ref_hash {
+                    let pages = self.reference_pages.get(&epoch).map(|reference| {
+                        (reference.iter().zip(&state.pages).enumerate())
+                            .filter(|(_, (a, b))| a != b)
+                            .map(|(page, _)| page)
+                            .collect()
+                    });
                     self.divergences.push(Divergence {
                         epoch,
                         replica_a: ref_replica,
                         hash_a: ref_hash,
                         replica_b: replica,
-                        hash_b: hash,
+                        hash_b: state.hash,
+                        regs_differ: state.regs != rec.reference_regs,
+                        pages,
                     });
                 }
             }
@@ -128,12 +160,21 @@ impl LockstepChecker {
 mod tests {
     use super::*;
 
+    /// A digest whose register part and four pages all equal `hash`.
+    fn d(hash: u64) -> StateDigest {
+        StateDigest {
+            hash,
+            regs: hash,
+            pages: vec![hash; 4],
+        }
+    }
+
     #[test]
     fn matching_hashes_are_clean() {
         let mut c = LockstepChecker::new();
         for e in 0..10 {
-            c.record(0, e, 0xAB + e);
-            c.record(1, e, 0xAB + e);
+            c.record(0, e, d(0xAB + e));
+            c.record(1, e, d(0xAB + e));
         }
         assert!(c.is_clean());
         assert_eq!(c.compared(), 10);
@@ -142,8 +183,8 @@ mod tests {
     #[test]
     fn mismatch_reports_the_pair() {
         let mut c = LockstepChecker::new();
-        c.record(0, 3, 1);
-        c.record(1, 3, 2);
+        c.record(0, 3, d(1));
+        c.record(1, 3, d(2));
         assert!(!c.is_clean());
         assert_eq!(
             c.divergences(),
@@ -152,18 +193,49 @@ mod tests {
                 replica_a: 0,
                 hash_a: 1,
                 replica_b: 1,
-                hash_b: 2
+                hash_b: 2,
+                regs_differ: true,
+                pages: Some(vec![0, 1, 2, 3]),
             }]
         );
+    }
+
+    #[test]
+    fn a_one_page_mutation_names_exactly_that_page() {
+        let mut c = LockstepChecker::new();
+        let mut b = d(7);
+        b.hash = 8;
+        b.pages[2] = 99;
+        c.record(0, 0, d(7));
+        c.record(1, 0, b);
+        let div = &c.divergences()[0];
+        assert!(!div.regs_differ);
+        assert_eq!(div.pages, Some(vec![2]));
+    }
+
+    #[test]
+    fn pages_are_named_only_within_the_window() {
+        let mut c = LockstepChecker::new();
+        // The reference runs PAGE_WINDOW epochs ahead: the oldest
+        // epoch's page digests are gone, the next one's are kept.
+        for e in 0..=PAGE_WINDOW {
+            c.record(0, e, d(1));
+        }
+        c.record(1, 0, d(2));
+        c.record(1, 1, d(2));
+        let divs = c.divergences();
+        assert_eq!((divs[0].epoch, divs[0].pages.clone()), (0, None));
+        assert_eq!(divs[1].pages, Some(vec![0, 1, 2, 3]));
+        assert!(divs[0].regs_differ, "the register part outlives the window");
     }
 
     #[test]
     fn out_of_order_and_partial_epochs() {
         let mut c = LockstepChecker::new();
         // The backup lags; epochs arrive interleaved.
-        c.record(0, 0, 7);
-        c.record(0, 1, 8);
-        c.record(1, 0, 7);
+        c.record(0, 0, d(7));
+        c.record(0, 1, d(8));
+        c.record(1, 0, d(7));
         assert_eq!(c.compared(), 1);
         assert!(c.is_clean());
         // Epoch 1 never compared (backup died) — still clean.
@@ -174,39 +246,40 @@ mod tests {
     fn n_replicas_compare_against_the_first_report() {
         let mut c = LockstepChecker::new();
         for r in 0..4 {
-            c.record(r, 0, 0xFEED);
+            c.record(r, 0, d(0xFEED));
         }
         assert!(c.is_clean());
         assert_eq!(c.compared(), 3);
         // A fifth replica disagrees: exactly one divergence, naming the
         // reference replica and the deviant.
-        c.record(4, 0, 0xBAD);
+        c.record(4, 0, d(0xBAD));
         assert_eq!(c.divergences().len(), 1);
-        let d = c.divergences()[0];
-        assert_eq!((d.replica_a, d.replica_b), (0, 4));
-        assert_eq!((d.hash_a, d.hash_b), (0xFEED, 0xBAD));
+        let div = &c.divergences()[0];
+        assert_eq!((div.replica_a, div.replica_b), (0, 4));
+        assert_eq!((div.hash_a, div.hash_b), (0xFEED, 0xBAD));
     }
 
     #[test]
     fn old_records_are_pruned_to_a_window() {
         let mut c = LockstepChecker::new();
         for e in 0..(RETAIN_EPOCHS * 3) {
-            c.record(0, e, e);
-            c.record(1, e, e);
+            c.record(0, e, d(e));
+            c.record(1, e, d(e));
         }
         assert!(c.is_clean());
         assert_eq!(c.compared(), RETAIN_EPOCHS * 3);
         // Ancient epochs are gone; recent ones remain queryable.
         assert_eq!(c.reports_for(0), 0);
         assert_eq!(c.reports_for(RETAIN_EPOCHS * 3 - 1), 2);
+        assert_eq!(c.reference_pages.len() as u64, PAGE_WINDOW);
     }
 
     #[test]
     fn divergence_between_two_backups_is_caught() {
         let mut c = LockstepChecker::new();
-        c.record(0, 5, 10);
-        c.record(1, 5, 10);
-        c.record(2, 5, 11);
+        c.record(0, 5, d(10));
+        c.record(1, 5, d(10));
+        c.record(2, 5, d(11));
         assert_eq!(c.compared(), 2);
         assert_eq!(c.divergences().len(), 1);
         assert_eq!(c.divergences()[0].replica_b, 2);

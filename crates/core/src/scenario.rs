@@ -1013,7 +1013,7 @@ impl Runner {
                         hosts
                     },
                     epochs: r.epochs,
-                    retired: 0,
+                    retired: r.retired,
                     failovers: r.promotions,
                     primary_stats: r.replica_stats.last().copied().unwrap_or_default(),
                     replica_stats: r.replica_stats,
@@ -1305,6 +1305,10 @@ mod tests {
             .unwrap()
             .run();
         assert!(r.exit.is_clean_exit(), "{:?}", r.exit);
+        assert!(
+            r.retired > 0,
+            "the chain report carries the primary's count"
+        );
         assert_eq!(r.failovers.len(), 2);
         assert_eq!(
             r.failovers.iter().map(|f| f.epoch).collect::<Vec<_>>(),

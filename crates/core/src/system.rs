@@ -1222,15 +1222,19 @@ impl FtSystem {
     fn epoch_end(&mut self, i: usize) {
         let epoch = self.hosts[i].guest.epoch();
         if self.cfg.lockstep_check {
-            let hash = self.hosts[i].guest.state_hash();
+            let state = self.hosts[i].guest.state_digest();
             let before = self.lockstep.divergences().len();
-            self.lockstep.record(i, epoch, hash);
-            if self.lockstep.divergences().len() > before {
+            self.lockstep.record(i, epoch, state);
+            if let Some(d) = self.lockstep.divergences().get(before) {
+                let msg = format!(
+                    "LOCKSTEP DIVERGENCE at epoch {epoch} (registers differ: {}, pages: {:?})",
+                    d.regs_differ, d.pages
+                );
                 self.tracer.emit(
                     self.hosts[i].now,
                     TraceCategory::Protocol,
                     Some(i as u8),
-                    format!("LOCKSTEP DIVERGENCE at epoch {epoch}"),
+                    msg,
                 );
             }
         }

@@ -30,7 +30,7 @@ use hvft_machine::cpu::{Cpu, Exit, LoadProgram};
 use hvft_machine::exec::{ExecStats, ExecTier};
 use hvft_machine::mem::{Memory, PAGE_SHIFT};
 use hvft_machine::snapshot::{CpuSnapshot, MemSnapshot};
-use hvft_machine::statehash::vm_state_hash;
+use hvft_machine::statehash::{vm_state_digest, vm_state_hash, StateDigest};
 use hvft_machine::tlb::{pte, TlbReplacement};
 use hvft_machine::trap::Trap;
 use hvft_sim::time::SimDuration;
@@ -249,6 +249,12 @@ impl HvGuest {
     /// Hash of the virtual-machine state (for lockstep checking).
     pub fn state_hash(&self) -> u64 {
         vm_state_hash(&self.cpu, &self.mem)
+    }
+
+    /// The state hash with its register and per-page parts, for a
+    /// lockstep checker that names what differs.
+    pub fn state_digest(&self) -> StateDigest {
+        vm_state_digest(&self.cpu, &self.mem)
     }
 
     /// Re-arms the recovery counter for the next epoch. Must be called

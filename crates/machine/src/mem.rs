@@ -6,6 +6,8 @@
 //! embedder (the bare machine routes them to devices, the hypervisor
 //! intercepts them — paper §3.2, Environment Instruction Assumption).
 
+use std::cell::{Cell, OnceCell};
+
 /// Base physical address of the memory-mapped I/O window.
 pub const IO_BASE: u32 = 0xF000_0000;
 /// Size of the I/O window in bytes.
@@ -46,7 +48,16 @@ pub struct Memory {
     /// block's recorded generation against the current one to detect
     /// self-modifying code without any registration protocol.
     page_gens: Vec<u64>,
+    /// Derived state-hash cache, allocated at the first hash: per page,
+    /// the generation its digest was computed at and the digest. Never
+    /// snapshotted; `restore` and `reset` drop it. Sound because every
+    /// `ram` mutation either bumps the page's generation or drops the
+    /// cache.
+    digests: OnceCell<Vec<DigestSlot>>,
 }
+
+/// One page's cached `(write generation, digest)`, if any.
+type DigestSlot = Cell<Option<(u64, u64)>>;
 
 /// A physical access that cannot be satisfied by RAM.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -77,7 +88,33 @@ impl Memory {
         Memory {
             ram: vec![0; bytes],
             page_gens: vec![0; bytes.div_ceil(PAGE_SIZE as usize)],
+            digests: OnceCell::new(),
         }
+    }
+
+    /// Digest of every page, in page order (the last page may be
+    /// short). A page is rehashed only if its write generation moved
+    /// since its digest was cached.
+    pub(crate) fn page_digests(&self) -> impl Iterator<Item = u64> + '_ {
+        let pages = self.ram.chunks(PAGE_SIZE as usize);
+        let digests = self
+            .digests
+            .get_or_init(|| vec![Cell::new(None); self.page_gens.len()]);
+        (pages.zip(&self.page_gens).zip(digests)).map(|((bytes, &gen), slot)| match slot.get() {
+            Some((g, d)) if g == gen => d,
+            _ => {
+                let d = crate::statehash::page_digest(bytes);
+                slot.set(Some((gen, d)));
+                d
+            }
+        })
+    }
+
+    /// Forgets every cached page digest. Called wherever generations are
+    /// rewritten rather than bumped: a generation match is then no
+    /// evidence of unchanged bytes.
+    fn drop_digests(&mut self) {
+        self.digests = OnceCell::new();
     }
 
     /// Write generation of the page containing `paddr`. Returns 0 for
@@ -103,6 +140,7 @@ impl Memory {
         for g in &mut self.page_gens {
             *g += 1;
         }
+        self.drop_digests();
     }
 
     /// RAM size in bytes.
@@ -200,11 +238,6 @@ impl Memory {
         &self.ram[i..i + len]
     }
 
-    /// Raw view of all RAM (used by the state hasher).
-    pub fn raw(&self) -> &[u8] {
-        &self.ram
-    }
-
     /// Captures RAM and the per-page write generations for a
     /// whole-machine snapshot.
     pub fn snapshot(&self) -> crate::snapshot::MemSnapshot {
@@ -217,10 +250,13 @@ impl Memory {
     /// Restores state captured by [`Memory::snapshot`]. Generations are
     /// restored verbatim: block/superblock caches are rebuilt empty
     /// after a restore, so they can only record generations at or after
-    /// the captured values and SMC detection stays sound.
+    /// the captured values and SMC detection stays sound. The page
+    /// digest cache is dropped: the donor's generation *g* on a page can
+    /// hold different bytes from this memory's generation *g*.
     pub fn restore(&mut self, snap: &crate::snapshot::MemSnapshot) {
         self.ram = snap.ram.clone();
         self.page_gens = snap.page_gens.clone();
+        self.drop_digests();
     }
 }
 
@@ -324,6 +360,40 @@ mod tests {
         assert_eq!(m.page_gen(0), g);
     }
 
+    fn digests(m: &Memory) -> Vec<u64> {
+        m.page_digests().collect()
+    }
+
+    #[test]
+    fn page_digests_track_writes_page_by_page() {
+        let mut m = Memory::new(3 * PAGE_SIZE as usize);
+        let d0 = digests(&m);
+        assert_eq!(d0.len(), 3);
+        assert_eq!(d0[0], d0[1], "identical pages digest alike");
+        m.write_u8(PAGE_SIZE + 5, 9).unwrap();
+        let d1 = digests(&m);
+        assert_eq!((d1[0], d1[2]), (d0[0], d0[2]));
+        assert_ne!(d1[1], d0[1]);
+        // Writing the old value back restores the old digest.
+        m.write_u8(PAGE_SIZE + 5, 0).unwrap();
+        assert_eq!(digests(&m), d0);
+    }
+
+    #[test]
+    fn restore_drops_digests_cached_at_a_matching_generation() {
+        // Two memories reach generation 1 on page 0 with different
+        // bytes; a cache trusted on a generation match would keep the
+        // restored memory's stale digest.
+        let mut a = Memory::new(2 * PAGE_SIZE as usize);
+        let mut b = a.clone();
+        a.write_u8(3, 1).unwrap();
+        b.write_u8(3, 2).unwrap();
+        assert_eq!(a.page_gen(0), b.page_gen(0));
+        let _ = digests(&a);
+        a.restore(&b.snapshot());
+        assert_eq!(digests(&a), digests(&b));
+    }
+
     #[test]
     fn reset_zeroes_and_invalidates() {
         let mut m = Memory::new(2 * PAGE_SIZE as usize);
@@ -332,6 +402,7 @@ mod tests {
         m.reset();
         assert_eq!(m.read_u32(16), Ok(0));
         assert_ne!(m.page_gen(16), g, "reset must invalidate cached blocks");
+        assert_eq!(digests(&m), digests(&Memory::new(2 * PAGE_SIZE as usize)));
         assert_eq!(m.size(), 2 * PAGE_SIZE as usize);
     }
 }
