@@ -17,9 +17,10 @@
 //! - [`system`] — [`system::FtSystem`], the realistic discrete-event
 //!   driver: `t + 1` hosts with their own clocks, modelled link timing,
 //!   a shared disk and console, timeout failure detectors, and
-//!   cascading failover.
-//! - [`chain`] — [`chain::TChain`], the round-synchronous t-fault chain
-//!   on instantaneous links; same engines, different machinery.
+//!   cascading failover, with primary failstops scheduled by simulated
+//!   time or by epoch number.
+//! - [`cluster`] — [`cluster::FtCluster`], many systems sharded over one
+//!   shared LAN, sequential or on a worker pool.
 //! - [`messages`], [`config`], [`lockstep`] — the wire vocabulary, the
 //!   knobs, and the `n`-replica divergence checker.
 //! - [`scenario`], [`observer`] — the public front door: the typed,
@@ -45,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chain;
 pub mod cluster;
 pub mod config;
 pub mod lockstep;
@@ -55,7 +55,6 @@ pub mod protocol;
 pub mod scenario;
 pub mod system;
 
-pub use chain::{ChainEnd, ChainResult, TChain};
 pub use cluster::{FtCluster, Parallelism};
 pub use config::{FailureSpec, FtConfig, ProtocolVariant};
 pub use lockstep::{Divergence, LockstepChecker};

@@ -8,16 +8,17 @@
 //! interrupt was raised, an acknowledgment came in, the failure
 //! detector fired) and emit *effects* (send a message, assign the
 //! clock, deliver buffered interrupts, start the next epoch, release a
-//! held I/O). Two very different drivers run the same engines:
+//! held I/O). [`crate::system::FtSystem`] — the realistic DES with
+//! modelled link timing, a shared disk and timeout failure detectors —
+//! drives them, alone or as one shard of a
+//! [`crate::cluster::FtCluster`] on a shared LAN.
 //!
-//! - [`crate::system::FtSystem`] — the realistic DES with modelled link
-//!   timing, a shared disk, and a timeout failure detector;
-//! - [`crate::chain::TChain`] — the round-synchronous t-fault chain
-//!   whose transport is an instantaneous FIFO link.
-//!
-//! That both produce identical guest-visible behaviour is exactly the
-//! paper's claim that the protocol is independent of the machinery
-//! underneath — and it is enforced by an equivalence property test.
+//! Because the engines never see the clock, *when* a primary dies does
+//! not matter to them, only at which protocol step: a failstop
+//! scheduled by simulated time, and one scheduled by epoch number at
+//! the epochs that run's successors promoted at, produce the same
+//! failover epochs and the same guest-visible result. The
+//! engine-equivalence property test enforces exactly that.
 //!
 //! # Rules, by their paper names
 //!
@@ -643,15 +644,6 @@ impl ReplicaEngine {
                 uncertain_synthesized: synthesized,
             },
         )
-    }
-
-    /// Promotion between epochs (the round-synchronous chain): the
-    /// replica is not waiting at a boundary, so the role simply
-    /// switches and coordination resumes at the next boundary.
-    pub fn promote_running(&mut self, survivors: Vec<ReplicaId>) {
-        debug_assert_eq!(self.phase, Phase::Running, "promote_running mid-boundary");
-        self.is_primary = true;
-        self.peers = survivors;
     }
 }
 

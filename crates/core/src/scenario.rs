@@ -4,11 +4,11 @@
 //! The paper evaluates one protocol under three workloads; the harness
 //! around this crate wants *arbitrary* combinations — any registered
 //! [`Workload`], any driver (bare baseline, the realistic DES
-//! [`FtSystem`], the round-synchronous [`TChain`], a sharded
-//! [`FtCluster`]), any protocol variant, loss model and failure
-//! schedule. Historically each harness hand-rolled an [`FtConfig`]
-//! struct literal and called one of four incompatible entry points;
-//! invalid combinations panicked from asserts buried in the drivers.
+//! [`FtSystem`], a sharded [`FtCluster`]), any protocol variant, loss
+//! model and failure schedule. Historically each harness hand-rolled
+//! an [`FtConfig`] struct literal and called one of four incompatible
+//! entry points; invalid combinations panicked from asserts buried in
+//! the drivers.
 //!
 //! [`Scenario`] replaces that:
 //!
@@ -61,7 +61,6 @@
 //! assert!(report.exit.is_clean_exit());
 //! ```
 
-use crate::chain::{ChainEnd, TChain};
 use crate::cluster::FtCluster;
 use crate::config::{FailureSpec, FtConfig, ProtocolVariant};
 use crate::observer::Observer;
@@ -134,14 +133,6 @@ pub enum ConfigError {
     EmptyDisk,
     /// A zero-length epoch never reaches a boundary.
     ZeroEpochLen,
-    /// [`ScenarioBuilder::block_exec`] and [`ScenarioBuilder::exec_tier`]
-    /// were both called and disagree about the engine.
-    ExecTierConflict {
-        /// What `block_exec(..)` asked for.
-        block_exec: bool,
-        /// What `exec_tier(..)` asked for.
-        tier: ExecTier,
-    },
     /// An option was combined with a driver that cannot honour it (the
     /// payload says which and why).
     DriverMismatch(&'static str),
@@ -183,11 +174,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::EmptyDisk => write!(f, "a disk needs at least one block"),
             ConfigError::ZeroEpochLen => write!(f, "epoch length must be at least 1 instruction"),
-            ConfigError::ExecTierConflict { block_exec, tier } => write!(
-                f,
-                "block_exec({block_exec}) and exec_tier({tier}) disagree: drop \
-                 the legacy block_exec(..) call and keep exec_tier(..)"
-            ),
             ConfigError::DriverMismatch(why) => write!(f, "driver mismatch: {why}"),
         }
     }
@@ -205,10 +191,6 @@ pub enum Driver {
     /// link timing, timeout failure detectors, shared disk and console.
     #[default]
     Replicated,
-    /// The round-synchronous t-fault chain ([`TChain`]) on instant
-    /// links: same engines, abstract machinery, failures scheduled by
-    /// epoch.
-    Chain,
 }
 
 /// How a scenario's workload ended, uniform across drivers.
@@ -221,12 +203,9 @@ pub enum ExitStatus {
     Fatal(Option<u32>),
     /// The per-guest instruction limit tripped.
     InsnLimit,
-    /// More processors failed than the chain tolerates.
+    /// More primaries failstopped than the system tolerates (> t):
+    /// no replica was left to promote.
     Exhausted,
-    /// Replicas diverged at this epoch boundary (protocol violation).
-    Diverged(u64),
-    /// The chain's epoch budget ran out.
-    EpochLimit,
 }
 
 impl ExitStatus {
@@ -333,11 +312,8 @@ pub struct ScenarioBuilder {
     extra_primary_failures: Vec<SimTime>,
     replica_failures: Vec<(SimTime, usize)>,
     rejoins: Vec<(SimTime, usize)>,
-    chain_failures_at: Vec<u64>,
-    max_epochs: u64,
+    epoch_failures: Vec<u64>,
     parallelism: Parallelism,
-    block_exec_asked: Option<bool>,
-    exec_tier_asked: Option<ExecTier>,
 }
 
 impl Default for ScenarioBuilder {
@@ -350,11 +326,8 @@ impl Default for ScenarioBuilder {
             extra_primary_failures: Vec::new(),
             replica_failures: Vec::new(),
             rejoins: Vec::new(),
-            chain_failures_at: Vec::new(),
-            max_epochs: 1_000_000,
+            epoch_failures: Vec::new(),
             parallelism: Parallelism::Sequential,
-            block_exec_asked: None,
-            exec_tier_asked: None,
         }
     }
 }
@@ -389,11 +362,6 @@ impl ScenarioBuilder {
     /// Shorthand for `driver(Driver::Bare)`.
     pub fn bare(self) -> Self {
         self.driver(Driver::Bare)
-    }
-
-    /// Shorthand for `driver(Driver::Chain)`.
-    pub fn chain(self) -> Self {
-        self.driver(Driver::Chain)
     }
 
     /// Selects the protocol variant (default: the §2 original).
@@ -485,16 +453,13 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Chain driver only: failstop the acting primary at this epoch
-    /// (repeatable, ascending).
+    /// Failstops the acting primary at its first epoch boundary at or
+    /// past `epoch`, before it sends anything for that boundary, so its
+    /// successor promotes at exactly this epoch (repeatable: later
+    /// calls schedule cascading failures of whoever is then primary).
+    /// Replicated driver only.
     pub fn fail_primary_at_epoch(mut self, epoch: u64) -> Self {
-        self.chain_failures_at.push(epoch);
-        self
-    }
-
-    /// Chain driver only: epoch budget guard (default 1 000 000).
-    pub fn max_epochs(mut self, epochs: u64) -> Self {
-        self.max_epochs = epochs;
+        self.epoch_failures.push(epoch);
         self
     }
 
@@ -523,7 +488,7 @@ impl ScenarioBuilder {
     }
 
     /// Full per-guest hypervisor configuration (epoch length, TLB
-    /// policy, block execution…), for knobs without a dedicated setter.
+    /// policy, execution tier…), for knobs without a dedicated setter.
     pub fn hv(mut self, hv: HvConfig) -> Self {
         self.cfg.hv = hv;
         self
@@ -542,27 +507,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Legacy two-way engine switch: whether guests use the
-    /// predecoded-block fast path (default true; disabling single-steps
-    /// — observably identical, and the knob lets differential tests
-    /// prove that). Combining it with a disagreeing
-    /// [`ScenarioBuilder::exec_tier`] is a [`ConfigError`].
-    pub fn block_exec(mut self, enabled: bool) -> Self {
-        self.block_exec_asked = Some(enabled);
-        self.cfg.hv.exec_tier = if enabled {
-            ExecTier::Block
-        } else {
-            ExecTier::Step
-        };
-        self
-    }
-
     /// Selects the execution engine for every guest — the single-step
     /// reference interpreter, predecoded blocks (the default) or the
     /// threaded-code jit. All tiers are observably identical; see the
     /// three-way differential oracle in `tests/proptest_step_vs_block.rs`.
     pub fn exec_tier(mut self, tier: ExecTier) -> Self {
-        self.exec_tier_asked = Some(tier);
         self.cfg.hv.exec_tier = tier;
         self
     }
@@ -626,16 +575,6 @@ impl ScenarioBuilder {
         if self.cfg.hv.epoch_len == 0 {
             return Err(ConfigError::ZeroEpochLen);
         }
-        if let (Some(block_exec), Some(tier)) = (self.block_exec_asked, self.exec_tier_asked) {
-            let implied = if block_exec {
-                ExecTier::Block
-            } else {
-                ExecTier::Step
-            };
-            if tier != implied {
-                return Err(ConfigError::ExecTierConflict { block_exec, tier });
-            }
-        }
         if self.cfg.disk_blocks == 0 {
             return Err(ConfigError::EmptyDisk);
         }
@@ -645,63 +584,40 @@ impl ScenarioBuilder {
                 max: MAX_DISK_BLOCKS,
             });
         }
-        if !self.rejoins.is_empty() {
-            if self.driver != Driver::Replicated {
-                return Err(ConfigError::DriverMismatch(
+        if self.driver == Driver::Bare {
+            let mismatches = [
+                (
+                    self.backups.is_some(),
+                    "the bare baseline has no replicas (drop backups(..))",
+                ),
+                (
+                    self.cfg.failure != FailureSpec::None
+                        || !self.replica_failures.is_empty()
+                        || !self.epoch_failures.is_empty(),
+                    "the bare baseline has no processors to failstop",
+                ),
+                (
+                    !self.rejoins.is_empty(),
                     "reintegration rides the replicated DES's timed network \
-                     (bare and chain runs cannot rejoin a repaired replica)",
-                ));
-            }
-            if self.cfg.retransmit.is_none() {
-                return Err(ConfigError::RejoinWithoutRetransmit);
-            }
-        }
-        if self.driver != Driver::Replicated {
-            if self.cfg.nic_queue_bound.is_some() {
-                return Err(ConfigError::DriverMismatch(
+                     (the bare baseline has no replica to rejoin)",
+                ),
+                (
+                    self.cfg.nic_queue_bound.is_some(),
                     "the NIC queue bound shapes the replicated DES's timed \
-                     coordination network (bare and chain runs have none)",
-                ));
-            }
-            if self.parallelism != Parallelism::Sequential {
-                return Err(ConfigError::DriverMismatch(
+                     coordination network (the bare baseline has none)",
+                ),
+                (
+                    self.parallelism != Parallelism::Sequential,
                     "parallel execution distributes replicated cluster shards \
-                     (bare and chain runs cannot shard onto a LAN)",
-                ));
+                     (the bare baseline cannot shard onto a LAN)",
+                ),
+            ];
+            if let Some(&(_, why)) = mismatches.iter().find(|(bad, _)| *bad) {
+                return Err(ConfigError::DriverMismatch(why));
             }
         }
-        match self.driver {
-            Driver::Bare => {
-                if self.backups.is_some() {
-                    return Err(ConfigError::DriverMismatch(
-                        "the bare baseline has no replicas (drop backups(..))",
-                    ));
-                }
-                if self.cfg.failure != FailureSpec::None
-                    || !self.replica_failures.is_empty()
-                    || !self.chain_failures_at.is_empty()
-                {
-                    return Err(ConfigError::DriverMismatch(
-                        "the bare baseline has no processors to failstop",
-                    ));
-                }
-            }
-            Driver::Replicated => {
-                if !self.chain_failures_at.is_empty() {
-                    return Err(ConfigError::DriverMismatch(
-                        "epoch-scheduled failures need the chain driver \
-                         (use fail_primary_at(..) with simulated times)",
-                    ));
-                }
-            }
-            Driver::Chain => {
-                if self.cfg.failure != FailureSpec::None || !self.replica_failures.is_empty() {
-                    return Err(ConfigError::DriverMismatch(
-                        "the round-synchronous chain schedules failures by epoch \
-                         (use fail_primary_at_epoch(..))",
-                    ));
-                }
-            }
+        if !self.rejoins.is_empty() && self.cfg.retransmit.is_none() {
+            return Err(ConfigError::RejoinWithoutRetransmit);
         }
         if let Some(t) = self.backups {
             if t == 0 && self.driver != Driver::Bare {
@@ -721,7 +637,6 @@ impl ScenarioBuilder {
                 });
             }
         }
-        self.chain_failures_at.sort_unstable();
         Ok(Scenario {
             label: format!("{name}@{:?}", self.driver).to_lowercase(),
             image,
@@ -730,8 +645,7 @@ impl ScenarioBuilder {
             extra_primary_failures: self.extra_primary_failures,
             replica_failures: self.replica_failures,
             rejoins: self.rejoins,
-            chain_failures_at: self.chain_failures_at,
-            max_epochs: self.max_epochs,
+            epoch_failures: self.epoch_failures,
             parallelism: self.parallelism,
         })
     }
@@ -749,8 +663,7 @@ pub struct Scenario {
     extra_primary_failures: Vec<SimTime>,
     replica_failures: Vec<(SimTime, usize)>,
     rejoins: Vec<(SimTime, usize)>,
-    chain_failures_at: Vec<u64>,
-    max_epochs: u64,
+    epoch_failures: Vec<u64>,
     parallelism: Parallelism,
 }
 
@@ -815,32 +728,29 @@ impl Scenario {
             }
             Driver::Replicated => {
                 let mut system = FtSystem::from_config(&self.image, self.cfg);
-                for &at in &self.extra_primary_failures {
-                    system.schedule_failure(at);
-                }
-                for &(at, replica) in &self.replica_failures {
-                    system.schedule_replica_failure(at, replica);
-                }
-                for &(at, replica) in &self.rejoins {
-                    system.schedule_rejoin(at, replica);
-                }
+                self.schedule_faults(&mut system);
                 Runner::Replicated {
                     system,
                     label: self.label.clone(),
                 }
             }
-            Driver::Chain => Runner::Chain {
-                chain: TChain::build(
-                    &self.image,
-                    self.cfg.backups,
-                    self.cfg.cost,
-                    self.cfg.hv,
-                    self.cfg.protocol,
-                ),
-                failures_at: self.chain_failures_at.clone(),
-                max_epochs: self.max_epochs,
-                label: self.label.clone(),
-            },
+        }
+    }
+
+    /// Hands the failure and repair schedules to a replicated system,
+    /// whether it runs alone or as a cluster shard.
+    fn schedule_faults(&self, system: &mut FtSystem) {
+        for &at in &self.extra_primary_failures {
+            system.schedule_failure(at);
+        }
+        for &(at, replica) in &self.replica_failures {
+            system.schedule_replica_failure(at, replica);
+        }
+        for &epoch in &self.epoch_failures {
+            system.schedule_failure_at_epoch(epoch);
+        }
+        for &(at, replica) in &self.rejoins {
+            system.schedule_rejoin(at, replica);
         }
     }
 
@@ -851,8 +761,8 @@ impl Scenario {
 }
 
 /// A driver instance ready to run one scenario — the uniform wrapper
-/// over [`BareHost`], [`FtSystem`] and [`TChain`] that makes every run
-/// yield a [`RunReport`].
+/// over [`BareHost`] and [`FtSystem`] that makes every run yield a
+/// [`RunReport`].
 pub enum Runner {
     /// The bare baseline.
     Bare {
@@ -870,29 +780,16 @@ pub enum Runner {
         /// Report label.
         label: String,
     },
-    /// The round-synchronous chain.
-    Chain {
-        /// The replica chain.
-        chain: TChain,
-        /// Epochs at which the acting primary failstops.
-        failures_at: Vec<u64>,
-        /// Epoch budget guard.
-        max_epochs: u64,
-        /// Report label.
-        label: String,
-    },
 }
 
 impl Runner {
     /// Registers a run [`Observer`]. The replicated driver fires every
-    /// hook; the chain fires epoch-boundary and failover hooks; the
-    /// bare driver has no protocol events and accepts (but never
-    /// invokes) observers.
+    /// hook; the bare driver has no protocol events and accepts (but
+    /// never invokes) observers.
     pub fn add_observer(&mut self, observer: Box<dyn Observer>) {
         match self {
             Runner::Bare { .. } => {}
             Runner::Replicated { system, .. } => system.add_observer(observer),
-            Runner::Chain { chain, .. } => chain.add_observer(observer),
         }
     }
 
@@ -902,7 +799,6 @@ impl Runner {
         match self {
             Runner::Bare { .. } => Vec::new(),
             Runner::Replicated { system, .. } => system.take_observers(),
-            Runner::Chain { chain, .. } => chain.take_observers(),
         }
     }
 
@@ -923,21 +819,10 @@ impl Runner {
         }
     }
 
-    /// The underlying [`TChain`], when the driver is the chain.
-    pub fn chain_mut(&mut self) -> Option<&mut TChain> {
-        match self {
-            Runner::Chain { chain, .. } => Some(chain),
-            _ => None,
-        }
-    }
-
     /// Runs to completion and reports uniformly.
     ///
     /// Driver-specific gaps in the report: the bare driver has no
-    /// replicas (replica/lockstep/message fields are empty, epochs 0);
-    /// the chain has no timed network or disk (message and latency
-    /// fields empty, failover `at` is the promoted replica's guest
-    /// time).
+    /// replicas (replica/lockstep/message fields are empty, epochs 0).
     pub fn run(&mut self) -> RunReport {
         match self {
             Runner::Bare {
@@ -984,61 +869,20 @@ impl Runner {
             }
             Runner::Replicated { system, label } => {
                 let r = system.run();
-                report_from_ft(label.clone(), r, system.primary_retired())
-            }
-            Runner::Chain {
-                chain,
-                failures_at,
-                max_epochs,
-                label,
-            } => {
-                let r = chain.run(failures_at, *max_epochs);
-                RunReport {
-                    label: label.clone(),
-                    exit: match r.end {
-                        ChainEnd::Exit { code } => ExitStatus::Exit(code),
-                        ChainEnd::Exhausted => ExitStatus::Exhausted,
-                        ChainEnd::Diverged { epoch } => ExitStatus::Diverged(epoch),
-                        ChainEnd::EpochLimit => ExitStatus::EpochLimit,
-                    },
-                    completion_time: r.completion_time,
-                    console: r.console.iter().map(|&(_, b)| b).collect(),
-                    console_hosts: {
-                        let mut hosts: Vec<u8> = Vec::new();
-                        for &(i, _) in &r.console {
-                            if !hosts.contains(&(i as u8)) {
-                                hosts.push(i as u8);
-                            }
-                        }
-                        hosts
-                    },
-                    epochs: r.epochs,
-                    retired: r.retired,
-                    failovers: r.promotions,
-                    primary_stats: r.replica_stats.last().copied().unwrap_or_default(),
-                    replica_stats: r.replica_stats,
-                    messages_per_replica: Vec::new(),
-                    frames_retransmitted: 0,
-                    frames_suppressed: 0,
-                    reintegrations: Vec::new(),
-                    state_transfer_bytes: 0,
-                    lockstep_compared: r.comparisons,
-                    lockstep_clean: !matches!(r.end, ChainEnd::Diverged { .. }),
-                    disk_log: Vec::new(),
-                    guest_retries: 0,
-                    op_latencies: Vec::new(),
-                    op_latency_hist: latency_hist(&[]),
-                }
+                report_from_ft(label.clone(), r, system)
             }
         }
     }
 }
 
-/// Folds an [`FtRunResult`] into the uniform report shape.
-fn report_from_ft(label: String, r: FtRunResult, retired: u64) -> RunReport {
+/// Folds an [`FtRunResult`] into the uniform report shape. A run that
+/// ended with its acting primary failstopped ran out of replicas to
+/// promote: more than `t` primaries failed.
+fn report_from_ft(label: String, r: FtRunResult, system: &FtSystem) -> RunReport {
     RunReport {
         label,
         exit: match r.outcome {
+            _ if system.primary_failstopped() => ExitStatus::Exhausted,
             RunEnd::Exit { code } => ExitStatus::Exit(code),
             RunEnd::Fatal { code } => ExitStatus::Fatal(code),
             RunEnd::InsnLimit => ExitStatus::InsnLimit,
@@ -1047,7 +891,7 @@ fn report_from_ft(label: String, r: FtRunResult, retired: u64) -> RunReport {
         console: r.console_output,
         console_hosts: r.console_hosts,
         epochs: r.primary_stats.epochs,
-        retired,
+        retired: system.primary_retired(),
         failovers: r.failovers,
         primary_stats: r.primary_stats,
         replica_stats: r.replica_stats,
@@ -1141,7 +985,7 @@ impl ClusterScenario {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::DriverMismatch`] for bare or chain scenarios.
+    /// [`ConfigError::DriverMismatch`] for bare scenarios.
     pub fn add(&mut self, scenario: Scenario) -> Result<&mut Self, ConfigError> {
         if scenario.driver != Driver::Replicated {
             return Err(ConfigError::DriverMismatch(
@@ -1193,25 +1037,13 @@ impl ClusterScenario {
         let mut cluster = FtCluster::new(self.link, self.seed);
         for shard in &self.shards {
             let i = cluster.add_system(&shard.image, shard.cfg);
-            let sys = cluster.system_mut(i);
-            for &at in &shard.extra_primary_failures {
-                sys.schedule_failure(at);
-            }
-            for &(at, replica) in &shard.replica_failures {
-                sys.schedule_replica_failure(at, replica);
-            }
-            for &(at, replica) in &shard.rejoins {
-                sys.schedule_rejoin(at, replica);
-            }
+            shard.schedule_faults(cluster.system_mut(i));
         }
         let results = cluster.run_with(self.effective_parallelism());
         let reports = results
             .into_iter()
             .enumerate()
-            .map(|(i, r)| {
-                let retired = cluster.system_mut(i).primary_retired();
-                report_from_ft(self.shards[i].label.clone(), r, retired)
-            })
+            .map(|(i, r)| report_from_ft(self.shards[i].label.clone(), r, cluster.system(i)))
             .collect();
         (reports, cluster.lan_stats())
     }
@@ -1254,16 +1086,8 @@ mod tests {
             .build()
             .unwrap()
             .run();
-        let chain = Scenario::builder()
-            .workload(tiny_dhry())
-            .chain()
-            .functional_cost()
-            .build()
-            .unwrap()
-            .run();
         assert!(bare.exit.is_clean_exit());
         assert_eq!(bare.exit.code(), ft.exit.code(), "bare vs DES");
-        assert_eq!(bare.exit.code(), chain.exit.code(), "bare vs chain");
         assert!(ft.lockstep_clean && ft.lockstep_compared > 0);
         assert!(bare.retired > 0 && ft.retired > 0);
     }
@@ -1292,10 +1116,9 @@ mod tests {
     }
 
     #[test]
-    fn chain_failures_schedule_by_epoch() {
+    fn primary_failures_schedule_by_epoch() {
         let r = Scenario::builder()
             .workload(tiny_dhry())
-            .chain()
             .functional_cost()
             .backups(2)
             .epoch_len(1024)
@@ -1307,13 +1130,46 @@ mod tests {
         assert!(r.exit.is_clean_exit(), "{:?}", r.exit);
         assert!(
             r.retired > 0,
-            "the chain report carries the primary's count"
+            "the report carries the acting primary's count"
         );
         assert_eq!(r.failovers.len(), 2);
         assert_eq!(
             r.failovers.iter().map(|f| f.epoch).collect::<Vec<_>>(),
             vec![2, 4]
         );
+    }
+
+    #[test]
+    fn cluster_shards_honour_epoch_failures() {
+        let shard = |kills: &[u64]| {
+            kills
+                .iter()
+                .fold(
+                    Scenario::builder()
+                        .workload(tiny_dhry())
+                        .functional_cost()
+                        .backups(2)
+                        .epoch_len(1024),
+                    |b, &e| b.fail_primary_at_epoch(e),
+                )
+                .build()
+                .unwrap()
+        };
+        let mut cluster = ClusterScenario::new(LinkSpec::ethernet_10mbps(), 3);
+        cluster.add(shard(&[2])).unwrap();
+        cluster.add(shard(&[1, 2, 3])).unwrap();
+        let reports = cluster.run();
+        assert!(reports[0].exit.is_clean_exit(), "{:?}", reports[0].exit);
+        assert_eq!(
+            reports[0]
+                .failovers
+                .iter()
+                .map(|f| f.epoch)
+                .collect::<Vec<_>>(),
+            vec![2]
+        );
+        assert_eq!(reports[1].exit, ExitStatus::Exhausted);
+        assert_eq!(reports[1].failovers.len(), 2);
     }
 
     #[test]
@@ -1330,51 +1186,15 @@ mod tests {
         };
         let bare = run(Driver::Bare);
         let ft = run(Driver::Replicated);
-        let chain = run(Driver::Chain);
         assert!(bare.exit.is_clean_exit());
         assert_eq!(bare.exit.code(), ft.exit.code(), "bare vs DES under jit");
-        assert_eq!(
-            bare.exit.code(),
-            chain.exit.code(),
-            "bare vs chain under jit"
-        );
         assert!(ft.lockstep_clean && ft.lockstep_compared > 0);
         // The tier breakdown must prove the jit actually ran.
-        for (r, who) in [(&bare, "bare"), (&ft, "replicated"), (&chain, "chain")] {
+        for (r, who) in [(&bare, "bare"), (&ft, "replicated")] {
             let x = r.exec_stats();
             assert!(x.superblocks_compiled > 0, "{who}: no superblocks compiled");
             assert!(x.jit_retired > 0, "{who}: nothing retired in superblocks");
         }
-    }
-
-    #[test]
-    fn conflicting_engine_knobs_are_a_structured_error() {
-        let err = Scenario::builder()
-            .workload(tiny_dhry())
-            .block_exec(false)
-            .exec_tier(ExecTier::Jit)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::ExecTierConflict {
-                block_exec: false,
-                tier: ExecTier::Jit
-            }
-        );
-        // Agreement (redundant calls) is fine, in either order.
-        assert!(Scenario::builder()
-            .workload(tiny_dhry())
-            .exec_tier(ExecTier::Step)
-            .block_exec(false)
-            .build()
-            .is_ok());
-        assert!(Scenario::builder()
-            .workload(tiny_dhry())
-            .block_exec(true)
-            .exec_tier(ExecTier::Block)
-            .build()
-            .is_ok());
     }
 
     #[test]

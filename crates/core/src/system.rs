@@ -27,6 +27,11 @@
 //!   failover epoch for the whole chain (see
 //!   [`crate::protocol::ReplicaEngine::promote_at_boundary`]), and the
 //!   survivors' detectors are re-armed against the new primary.
+//! - a primary failstop is scheduled by simulated time (an agenda
+//!   event, landing mid-epoch) or by epoch number (fired at the acting
+//!   primary's boundary, before it sends anything for it). A run whose
+//!   acting primary is failstopped with no replica left to promote is
+//!   reported as exhausted by the scenario layer.
 
 use crate::config::{FailureSpec, FtConfig};
 use crate::lockstep::LockstepChecker;
@@ -562,6 +567,10 @@ pub struct FtSystem {
     last_outbound: BTreeMap<(usize, usize), SimTime>,
     /// Failure schedule: each entry failstops the then-acting primary.
     fail_schedule: Vec<SimTime>,
+    /// Epoch-aligned failure schedule, sorted: each entry failstops the
+    /// then-acting primary at its first epoch boundary at or past the
+    /// epoch, before it sends anything for that boundary.
+    epoch_fail_schedule: Vec<u64>,
     /// Failure schedule for specific replicas (backup failstops),
     /// sorted by time.
     replica_fail_schedule: Vec<(SimTime, usize)>,
@@ -745,6 +754,7 @@ impl FtSystem {
                 .collect(),
             disk_done: vec![None; n],
             fail_schedule,
+            epoch_fail_schedule: Vec::new(),
             replica_fail_schedule: Vec::new(),
             rejoin_schedule: Vec::new(),
             pending_rejoins: Vec::new(),
@@ -829,6 +839,23 @@ impl FtSystem {
     pub fn schedule_failure(&mut self, at: SimTime) {
         self.fail_schedule.push(at);
         self.fail_schedule.sort();
+    }
+
+    /// Schedules a failstop of the then-acting primary at the first
+    /// epoch boundary it reaches with `guest.epoch() >= epoch`. The
+    /// primary dies *at* the boundary, before recording its lockstep
+    /// hash or sending `[Tme]`/`[end]` for it, so the successor
+    /// promotes at exactly that epoch and no console byte is lost.
+    pub(crate) fn schedule_failure_at_epoch(&mut self, epoch: u64) {
+        self.epoch_fail_schedule.push(epoch);
+        self.epoch_fail_schedule.sort_unstable();
+    }
+
+    /// Whether the acting primary is failstopped. After a finished run
+    /// this means no replica was left to promote: more than `t`
+    /// primaries failed.
+    pub(crate) fn primary_failstopped(&self) -> bool {
+        self.hosts[self.acting_primary].life == Life::Dead
     }
 
     /// Schedules a failstop of a *specific* replica at `at` — the way
@@ -1221,6 +1248,16 @@ impl FtSystem {
 
     fn epoch_end(&mut self, i: usize) {
         let epoch = self.hosts[i].guest.epoch();
+        if i == self.acting_primary
+            && self
+                .epoch_fail_schedule
+                .first()
+                .is_some_and(|&e| epoch >= e)
+        {
+            self.epoch_fail_schedule.remove(0);
+            self.inject_failure(self.hosts[i].now);
+            return;
+        }
         if self.cfg.lockstep_check {
             let state = self.hosts[i].guest.state_digest();
             let before = self.lockstep.divergences().len();

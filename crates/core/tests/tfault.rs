@@ -379,3 +379,141 @@ fn deep_chains_boot_and_finish() {
     assert!(r.lockstep_clean);
     assert_eq!(r.replica_stats.len(), 6);
 }
+
+// ---------------------------------------------------------------------
+// Epoch-scheduled failstops: the acting primary dies at an epoch
+// boundary, before it sends anything for that boundary.
+// ---------------------------------------------------------------------
+
+fn epoch_image() -> Program {
+    build_image(
+        &KernelConfig {
+            tick_period_us: 1000,
+            tick_work: 2,
+            ..KernelConfig::default()
+        },
+        &dhrystone_source(1_500, 6),
+    )
+    .expect("image builds")
+}
+
+fn epoch_run(t: usize, kills: &[u64]) -> hvft_core::scenario::RunReport {
+    let mut b = fast(&epoch_image(), t).epoch_len(1024);
+    for &e in kills {
+        b = b.fail_primary_at_epoch(e);
+    }
+    b.build().unwrap().run()
+}
+
+#[test]
+fn failure_free_t3_compares_every_backup_at_every_boundary() {
+    let r = epoch_run(3, &[]);
+    assert!(r.exit.is_clean_exit(), "{:?}", r.exit);
+    assert!(r.lockstep_clean);
+    assert!(r.failovers.is_empty());
+    assert!(
+        r.lockstep_compared >= 3 * (r.epochs - 1),
+        "{} comparisons over {} epochs",
+        r.lockstep_compared,
+        r.epochs
+    );
+}
+
+#[test]
+fn epoch_kills_tolerate_exactly_t_failures() {
+    let (code, _) = reference(&epoch_image(), 1);
+    for t in 1..=3usize {
+        // Fail one primary every 3 epochs, t times.
+        let kills: Vec<u64> = (1..=t as u64).map(|k| k * 3).collect();
+        let r = epoch_run(t, &kills);
+        assert_eq!(
+            r.exit,
+            ExitStatus::Exit(code),
+            "t={t}: the survivor must produce the reference result"
+        );
+        assert_eq!(
+            r.failovers.iter().map(|f| f.epoch).collect::<Vec<_>>(),
+            kills,
+            "t={t}: each successor promotes at the scheduled epoch"
+        );
+        assert!(r.lockstep_clean, "t={t}: survivors diverged");
+    }
+}
+
+#[test]
+fn both_protocol_variants_agree_under_an_epoch_kill() {
+    let image = epoch_image();
+    let run = |protocol| {
+        let r = fast(&image, 2)
+            .epoch_len(1024)
+            .protocol(protocol)
+            .fail_primary_at_epoch(4)
+            .build()
+            .unwrap()
+            .run();
+        assert_eq!(r.failovers.len(), 1, "{protocol:?}: {:?}", r.failovers);
+        code_of(r.exit)
+    };
+    assert_eq!(run(Protocol::Old), run(Protocol::New));
+}
+
+#[test]
+fn epoch_kill_console_hand_over_is_one_way_and_lossless() {
+    let msg = "abcdefghij";
+    let image = build_image(
+        &KernelConfig {
+            tick_period_us: 200,
+            tick_work: 0,
+            ..KernelConfig::default()
+        },
+        &hello_source(msg, 2),
+    )
+    .unwrap();
+    let run = |kills: &[u64]| {
+        let mut b = fast(&image, 2).epoch_len(256);
+        for &e in kills {
+            b = b.fail_primary_at_epoch(e);
+        }
+        b.build().unwrap().run()
+    };
+    let clean = run(&[]);
+    let r = run(&[2, 4]);
+    assert_eq!(r.exit, ExitStatus::Exit(42));
+    assert_eq!(r.failovers.len(), 2);
+    // Emitting hosts only ever move down the chain, and a boundary kill
+    // hands over without losing a byte.
+    assert!(
+        r.console_hosts.windows(2).all(|w| w[0] < w[1]),
+        "hand-over must be one-way: {:?}",
+        r.console_hosts
+    );
+    assert_eq!(r.console, clean.console);
+}
+
+#[test]
+fn more_than_t_primary_failures_exhaust_the_system() {
+    // Long enough that a lone survivor, which runs faster with no peer
+    // to wait for, is still busy when the last kill lands.
+    let image = cpu_image(12_000);
+    for t in 1..=3usize {
+        let kills = t as u64 + 1;
+        // Epoch-indexed: one kill every 3 epochs.
+        let mut b = fast(&image, t);
+        for k in 1..=kills {
+            b = b.fail_primary_at_epoch(3 * k);
+        }
+        let r = b.build().unwrap().run();
+        assert_eq!(r.exit, ExitStatus::Exhausted, "t={t}, by epoch");
+        assert_eq!(r.failovers.len(), t, "t={t}, by epoch");
+        // Time-indexed: each kill lands after the previous promotion.
+        let (_, total_ns) = reference(&image, t);
+        let mut b = fast(&image, t);
+        for k in 0..kills {
+            let at = total_ns / (kills + 1) + k * DETECT_NS;
+            b = b.fail_primary_at(SimTime::from_nanos(at));
+        }
+        let r = b.build().unwrap().run();
+        assert_eq!(r.exit, ExitStatus::Exhausted, "t={t}, by time");
+        assert_eq!(r.failovers.len(), t, "t={t}, by time");
+    }
+}

@@ -15,10 +15,10 @@ fn tiny(src: &str) -> hvft_isa::program::Program {
     assemble(src).unwrap_or_else(|e| panic!("asm: {e}"))
 }
 
-fn run_hv(image: &hvft_isa::program::Program, max_epochs: u32) -> (HvGuest, Vec<HvEvent>) {
+fn run_hv(image: &hvft_isa::program::Program, max_events: u32) -> (HvGuest, Vec<HvEvent>) {
     let mut g = HvGuest::new(image, CostModel::functional(), HvConfig::default());
     let mut events = Vec::new();
-    for _ in 0..max_epochs {
+    for _ in 0..max_events {
         let ev = g.run(SimDuration::from_secs(1));
         events.push(ev);
         match ev {

@@ -228,21 +228,6 @@ impl Cpu {
         self.exec.tier
     }
 
-    /// Legacy two-way switch: `true` selects [`ExecTier::Block`],
-    /// `false` the single-step reference tier.
-    pub fn set_block_execution(&mut self, enabled: bool) {
-        self.exec.tier = if enabled {
-            ExecTier::Block
-        } else {
-            ExecTier::Step
-        };
-    }
-
-    /// Whether a batching engine (block or jit) is enabled.
-    pub fn block_execution(&self) -> bool {
-        self.exec.tier != ExecTier::Step
-    }
-
     /// Block-cache behaviour counters.
     pub fn block_cache_stats(&self) -> BlockCacheStats {
         self.exec.blocks.stats()
@@ -1452,16 +1437,16 @@ mod tests {
             imm: 99,
         })
         .unwrap();
-        let run_with = |block_exec: bool| {
+        let run_with = |tier: ExecTier| {
             let (mut cpu, mut mem) = setup(src);
             mem.write_u32(256, patched).unwrap();
-            cpu.set_block_execution(block_exec);
+            cpu.set_exec_tier(tier);
             let e = cpu.run(&mut mem, 1000);
             assert_eq!(e, Exit::Halt);
             (cpu.reg(Reg::of(6)), cpu.retired())
         };
-        let (blocked, retired_b) = run_with(true);
-        let (stepped, retired_s) = run_with(false);
+        let (blocked, retired_b) = run_with(ExecTier::Block);
+        let (stepped, retired_s) = run_with(ExecTier::Step);
         assert_eq!(blocked, 99, "patched instruction must be executed");
         assert_eq!(blocked, stepped);
         assert_eq!(retired_b, retired_s);

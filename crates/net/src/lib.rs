@@ -25,11 +25,9 @@ pub mod detector;
 pub mod lan;
 pub mod link;
 pub mod reliable;
-pub mod transport;
 
 pub use channel::{Channel, ChannelStats};
 pub use detector::FailureDetector;
 pub use lan::{Lan, LanStats, NodeId};
 pub use link::LinkSpec;
 pub use reliable::{Frame, Outgoing, RecvWindow, SendWindow};
-pub use transport::{InstantLink, Transport};

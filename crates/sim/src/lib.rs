@@ -4,7 +4,6 @@
 //!
 //! - [`time`]: integer-nanosecond simulated time ([`time::SimTime`],
 //!   [`time::SimDuration`]) in which all of the paper's constants are exact;
-//! - [`event`]: a deterministic event queue with FIFO tie-breaking;
 //! - [`sched`]: the shared scheduler kernel — a deterministic
 //!   [`sched::Scheduler`] over [`sched::Component`]s with FIFO
 //!   tie-breaking, the [`sched::Agenda`] event-source arbiter, and the
@@ -29,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod pool;
 pub mod rng;
 pub mod sched;
@@ -37,7 +35,6 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use event::{EventId, EventQueue};
 pub use pool::{PoolStats, WorkPool};
 pub use rng::SimRng;
 pub use sched::{Agenda, Component, Scheduler};

@@ -2,10 +2,9 @@
 //! for every driver in the workspace.
 //!
 //! Every driver in `hvft-core` used to hand-roll the same loop — "find
-//! the earliest thing that can happen, do it, repeat" — three times
-//! over: `FtSystem` arbitrated between its event sources and its hosts'
-//! guest slices, `TChain` stepped replicas through rounds, and
-//! `FtCluster` interleaved whole systems in min-time order. Each copy
+//! the earliest thing that can happen, do it, repeat" — twice over:
+//! `FtSystem` arbitrated between its event sources and its hosts' guest
+//! slices, and `FtCluster` interleaved whole systems in min-time order. Each copy
 //! had to re-invent the same two invariants:
 //!
 //! 1. **Earliest first**: nothing may act before the globally earliest
@@ -17,7 +16,7 @@
 //! This module owns both invariants once:
 //!
 //! - [`Component`] + [`Scheduler`] drive a set of peers (cluster
-//!   shards, chain replicas) in min-time order;
+//!   shards) in min-time order;
 //! - [`Agenda`] arbitrates a single driver's heterogeneous event
 //!   sources (deliveries, timers, failure schedules…) so the "what is
 //!   next" and "do the next thing" answers can never disagree — they

@@ -6,19 +6,21 @@
 //! cargo run --release --example t_fault_des
 //! ```
 //!
-//! Where `t_fault_chain` demonstrates the t-fault generalization at the
-//! protocol level (round-synchronous, abstract links), this example
-//! runs it through the same machinery as the paper's prototype: one
+//! §2 of the paper: "generalization to t-fault-tolerant virtual
+//! machines is straightforward." This example runs that generalization
+//! through the same machinery as the paper's prototype: one
 //! primary and two ordered backups on a 10 Mbps Ethernet, per-epoch
 //! `[Tme]`/`[end]` broadcasts with per-backup acknowledgments,
 //! rank-scaled timeout failure detectors, and a shared console. The
 //! original primary is killed mid-run; its successor is killed a little
 //! later; the last survivor finishes the workload with the reference
 //! checksum. An [`Observer`] hooked into the run reports the failover
-//! timeline and per-replica message traffic as it happens.
+//! timeline and per-replica message traffic as it happens. Finally, a
+//! third failstop, scheduled by epoch number, shows that `t`-fault
+//! tolerance means `t` faults and not `t + 1`.
 
 use hvft::core::observer::Observer;
-use hvft::core::scenario::{Scenario, ScenarioBuilder};
+use hvft::core::scenario::{ExitStatus, Scenario, ScenarioBuilder};
 use hvft::core::system::FailoverInfo;
 use hvft::guest::workload::Dhrystone;
 use hvft::guest::KernelConfig;
@@ -140,4 +142,17 @@ fn main() {
         "completed at {} (vs {} failure-free) — the environment saw one logical processor",
         report.completion_time, reference.completion_time
     );
+
+    // One failure too many: three epoch-aligned failstops against t = 2
+    // leave no replica to promote.
+    let doomed = base()
+        .fail_primary_at_epoch(2)
+        .fail_primary_at_epoch(4)
+        .fail_primary_at_epoch(6)
+        .build()
+        .expect("valid scenario")
+        .run();
+    assert_eq!(doomed.exit, ExitStatus::Exhausted);
+    assert_eq!(doomed.failovers.len(), 2);
+    println!("\n3 failures against t = 2: system exhausted, exactly as specified ✓");
 }

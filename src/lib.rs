@@ -10,15 +10,15 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `hvft-core` | [`core::protocol`]: the P1–P7/§4.3 rules as pure engines; [`core::FtSystem`]: the t-replica DES driver; [`core::TChain`]: the round-synchronous chain on the same engines; [`core::FtCluster`]: N systems sharded over one shared LAN |
+//! | [`core`] | `hvft-core` | [`core::protocol`]: the P1–P7/§4.3 rules as pure engines; [`core::FtSystem`]: the t-replica DES driver, with failstops scheduled by time or by epoch; [`core::FtCluster`]: N systems sharded over one shared LAN |
 //! | [`hypervisor`] | `hvft-hypervisor` | the hypervisor and bare machine; [`hypervisor::guest_iface::GuestCtl`], the narrow guest surface the protocols touch |
 //! | [`machine`] | `hvft-machine` | CPU, MMU/TLB, recovery counter |
 //! | [`isa`] | `hvft-isa` | instruction set and assembler |
 //! | [`guest`] | `hvft-guest` | the mini guest OS and workloads |
 //! | [`lang`] | `hvft-lang` | the hvft-lang workload compiler, reference interpreter, and random-program generator |
 //! | [`devices`] | `hvft-devices` | shared disk (IO1/IO2), console |
-//! | [`net`] | `hvft-net` | the [`net::transport::Transport`] interface with its two media — timed FIFO channels and the chain's instant links — plus link models, the failure detector, the [`net::reliable`] ack/retransmission layer, and the shared-medium [`net::lan::Lan`] |
-//! | [`sim`] | `hvft-sim` | simulated time, events, RNG, stats |
+//! | [`net`] | `hvft-net` | timed FIFO [`net::Channel`]s, link models, the failure detector, the [`net::reliable`] ack/retransmission layer, and the shared-medium [`net::lan::Lan`] |
+//! | [`sim`] | `hvft-sim` | simulated time, the scheduler kernel, worker pool, RNG, stats |
 //! | [`model`] | `hvft-model` | the paper's analytic NP models |
 //!
 //! # Quickstart

@@ -1,15 +1,19 @@
-//! The engine-equivalence oracle for the protocol refactor.
+//! The engine-equivalence oracle: time-indexed vs epoch-indexed
+//! failstops.
 //!
-//! `FtSystem` (the realistic DES: modelled link timing, shared disk,
-//! timeout failure detectors) and `TChain` (the round-synchronous
-//! chain on instantaneous links) run the *same* `hvft-core::protocol`
-//! engines. If the rule logic is truly transport-independent — the
-//! paper's claim — then the same workload and failure schedule must
-//! produce identical guest-visible results through both drivers, at
-//! t = 1 and t = 2 alike. These properties sample that space, with
-//! both drivers configured through the one `Scenario` builder.
+//! The `hvft-core::protocol` engines never see the clock, so *when* a
+//! primary dies matters to them only through the protocol step it dies
+//! at. A failstop scheduled by simulated time lands mid-epoch; the
+//! successor promotes at the boundary of the epoch it was waiting on.
+//! Replaying those failover epochs as epoch-aligned failstops (the
+//! primary dies at that boundary, before sending anything for it) must
+//! therefore reproduce the same failover epochs and the same
+//! guest-visible result, at t = 1 and t = 2 alike. Epoch-aligned
+//! failstops lose nothing at all: the console stream stays
+//! byte-identical to the failure-free run under both protocol variants.
+//! All runs are configured through the one `Scenario` builder.
 
-use hvft::core::scenario::{RunReport, Scenario, ScenarioBuilder};
+use hvft::core::scenario::{Protocol, RunReport, Scenario, ScenarioBuilder};
 use hvft::guest::workload::{Dhrystone, Hello};
 use hvft::guest::KernelConfig;
 use hvft::sim::time::{SimDuration, SimTime};
@@ -58,23 +62,19 @@ fn cpu_reference() -> &'static Reference {
     })
 }
 
-fn run_chain(builder: ScenarioBuilder, t: usize, fails: &[u64], epoch_len: u32) -> RunReport {
-    let mut b = builder
-        .chain()
-        .functional_cost()
-        .backups(t)
-        .epoch_len(epoch_len)
-        .max_epochs(10_000_000);
-    for &f in fails {
-        b = b.fail_primary_at_epoch(f);
-    }
+/// Runs `builder` with the acting primary failstopped at each epoch in
+/// `kills`, demanding a clean exit.
+fn run_epoch_kills(builder: ScenarioBuilder, kills: &[u64]) -> RunReport {
+    let b = kills
+        .iter()
+        .fold(builder, |b, &e| b.fail_primary_at_epoch(e));
     let r = b.build().unwrap().run();
-    assert!(
-        r.exit.is_clean_exit(),
-        "chain (t={t}, fails={fails:?}): {:?}",
-        r.exit
-    );
+    assert!(r.exit.is_clean_exit(), "kills {kills:?}: {:?}", r.exit);
     r
+}
+
+fn failover_epochs(r: &RunReport) -> Vec<u64> {
+    r.failovers.iter().map(|f| f.epoch).collect()
 }
 
 proptest! {
@@ -82,10 +82,13 @@ proptest! {
 
     #[test]
     fn failure_free_engines_agree_across_epoch_lengths(el_exp in 9u32..13) {
-        // The same workload through both drivers at the same epoch
-        // length: identical checksums, at t = 1 and t = 2.
+        // The same workload through the replicated driver at t = 1 and
+        // t = 2 and through the bare baseline: identical checksums at
+        // every epoch length.
         let el = 1u32 << el_exp;
         let reference = cpu_reference();
+        let bare = Scenario::builder().workload(cpu_workload()).bare().build().unwrap().run();
+        prop_assert_eq!(bare.exit.code(), Some(reference.code), "bare");
         for t in [1usize, 2] {
             let r = des_builder(t).epoch_len(el).build().unwrap().run();
             match r.exit.code() {
@@ -94,21 +97,19 @@ proptest! {
                     format!("DES t={t} EL={el}: {:?}", r.exit))),
             }
             prop_assert!(r.lockstep_clean, "DES t={} EL={} diverged", t, el);
-            let chain = run_chain(Scenario::builder().workload(cpu_workload()), t, &[], el);
-            prop_assert_eq!(chain.exit.code(), Some(reference.code), "chain t={} EL={}", t, el);
         }
     }
 
     #[test]
-    fn failure_schedules_agree_between_des_and_chain(
+    fn time_and_epoch_indexed_failstops_agree(
         frac in 1u64..8,
         gap in 1u64..4,
         two_failures in any::<bool>(),
     ) {
-        // Kill the acting primary (twice, for t = 2) in the DES; the
-        // survivor must produce the reference checksum. Then replay an
-        // equivalent schedule — the observed failover epochs — through
-        // the chain and demand the same checksum again.
+        // Kill the acting primary by simulated time (twice, for t = 2);
+        // the survivor must produce the reference checksum. Then replay
+        // the observed failover epochs as epoch-aligned kills and demand
+        // the same failover epochs and the same checksum.
         let reference = cpu_reference();
         let t = if two_failures { 2 } else { 1 };
         let t1 = (reference.total_ns * frac / 10).max(1);
@@ -124,24 +125,20 @@ proptest! {
                 format!("DES t={t} frac={frac}: {:?}", r.exit))),
         }
         prop_assert!(r.lockstep_clean, "DES t={} frac={} diverged", t, frac);
-        // Console bytes under failover are an in-order subsequence of
-        // the reference stream (fire-and-forget output may lose bytes in
-        // the failover epoch, never reorder or invent them).
+        // Console bytes under a mid-epoch failover are an in-order
+        // subsequence of the reference stream (fire-and-forget output
+        // may lose bytes in the failover epoch, never reorder or invent
+        // them).
         let mut it = reference.console.iter();
         prop_assert!(
             r.console.iter().all(|b| it.any(|m| m == b)),
             "DES console not a subsequence: {:?}", r.console
         );
-        // Replay through the chain: each DES promotion at epoch E means
-        // the dead primary completed epochs < E+1.
-        let fails: Vec<u64> = r.failovers.iter().map(|f| f.epoch + 1).collect();
-        let chain = run_chain(
-            Scenario::builder().workload(cpu_workload()),
-            t,
-            &fails,
-            4096,
-        );
-        prop_assert_eq!(chain.exit.code(), Some(reference.code), "chain replay of {:?}", fails);
+        let kills = failover_epochs(&r);
+        let replay = run_epoch_kills(des_builder(t), &kills);
+        prop_assert_eq!(failover_epochs(&replay), kills.clone(), "replay of {:?}", kills);
+        prop_assert_eq!(replay.exit, r.exit, "replay of {:?}", kills);
+        prop_assert!(replay.lockstep_clean, "replay of {:?} diverged", kills);
     }
 }
 
@@ -160,9 +157,17 @@ fn hello_workload(msg: &str) -> Hello {
 #[test]
 fn console_streams_are_identical_without_failures() {
     // The strongest equivalence: byte-for-byte identical console output
-    // through the DES (t = 1 and t = 2) and the chain.
+    // through the bare baseline and the replicated driver at t = 1 and
+    // t = 2.
     let msg = "the quick brown fox jumps over the lazy dog";
-    let mut streams: Vec<Vec<u8>> = Vec::new();
+    let bare = Scenario::builder()
+        .workload(hello_workload(msg))
+        .bare()
+        .build()
+        .unwrap()
+        .run();
+    assert_eq!(bare.exit.code(), Some(42), "{:?}", bare.exit);
+    assert!(!bare.console.is_empty(), "the workload must actually print");
     for t in [1usize, 2] {
         let r = Scenario::builder()
             .workload(hello_workload(msg))
@@ -172,50 +177,35 @@ fn console_streams_are_identical_without_failures() {
             .build()
             .unwrap()
             .run();
-        assert_eq!(r.exit.code(), Some(42), "{:?}", r.exit);
-        streams.push(r.console);
-        let chain = run_chain(
-            Scenario::builder().workload(hello_workload(msg)),
-            t,
-            &[],
-            4096,
-        );
-        assert_eq!(chain.exit.code(), Some(42));
-        streams.push(chain.console);
+        assert_eq!(r.exit.code(), Some(42), "t={t}: {:?}", r.exit);
+        assert_eq!(r.console, bare.console, "t={t}: the byte stream differs");
     }
-    for s in &streams[1..] {
-        assert_eq!(
-            s, &streams[0],
-            "every driver/t must emit the identical byte stream"
-        );
-    }
-    assert!(!streams[0].is_empty(), "the workload must actually print");
 }
 
 #[test]
-fn chain_boundary_kills_lose_no_console_bytes() {
-    // Chain failstops happen exactly at epoch boundaries, so — unlike
-    // mid-epoch DES kills — the hand-over loses nothing: the full
-    // reference stream must appear.
+fn epoch_boundary_kills_lose_no_console_bytes() {
+    // An epoch-aligned failstop happens before the dying primary sends
+    // anything for its boundary, and every console byte of the epoch it
+    // completed was already performed — so, unlike a mid-epoch kill,
+    // the hand-over loses nothing under either protocol variant.
     let msg = "abcdefghijklmnopqrstuvwxyz";
-    let el = 256;
-    let reference = run_chain(
-        Scenario::builder().workload(hello_workload(msg)),
-        2,
-        &[],
-        el,
-    );
-    let with_fails = run_chain(
-        Scenario::builder().workload(hello_workload(msg)),
-        2,
-        &[3, 6],
-        el,
-    );
-    assert_eq!(with_fails.exit.code(), Some(42));
-    assert_eq!(
-        with_fails.console, reference.console,
-        "boundary-aligned failovers must be byte-transparent"
-    );
-    // The chain's report carries the promotions as failovers.
-    assert_eq!(with_fails.failovers.len(), 2);
+    for protocol in [Protocol::Old, Protocol::New] {
+        let builder = || {
+            Scenario::builder()
+                .workload(hello_workload(msg))
+                .functional_cost()
+                .protocol(protocol)
+                .backups(2)
+                .detector_timeout(SimDuration::from_micros(800))
+                .epoch_len(256)
+        };
+        let reference = run_epoch_kills(builder(), &[]);
+        let with_fails = run_epoch_kills(builder(), &[3, 6]);
+        assert_eq!(with_fails.exit.code(), Some(42), "{protocol:?}");
+        assert_eq!(
+            with_fails.console, reference.console,
+            "{protocol:?}: boundary-aligned failovers must be byte-transparent"
+        );
+        assert_eq!(failover_epochs(&with_fails), vec![3, 6], "{protocol:?}");
+    }
 }

@@ -6,7 +6,6 @@
 use hvft::core::scenario::{
     ClusterScenario, ConfigError, Parallelism, Scenario, ScenarioBuilder, MAX_DISK_BLOCKS,
 };
-use hvft::machine::ExecTier;
 use hvft::net::link::LinkSpec;
 use hvft::sim::time::{SimDuration, SimTime};
 
@@ -25,7 +24,6 @@ fn variant(e: &ConfigError) -> &'static str {
         ConfigError::EmptyDisk => "EmptyDisk",
         ConfigError::ZeroEpochLen => "ZeroEpochLen",
         ConfigError::DriverMismatch(_) => "DriverMismatch",
-        ConfigError::ExecTierConflict { .. } => "ExecTierConflict",
     }
 }
 
@@ -75,38 +73,13 @@ fn every_invalid_combination_yields_its_config_error() {
             "DriverMismatch",
         ),
         (
-            "epoch-scheduled failure on the DES driver",
-            wl().fail_primary_at_epoch(3),
+            "epoch-scheduled failure on the bare driver",
+            wl().bare().fail_primary_at_epoch(3),
             "DriverMismatch",
-        ),
-        (
-            "time-scheduled failure on the chain driver",
-            wl().chain().fail_primary_at(SimTime::from_nanos(1)),
-            "DriverMismatch",
-        ),
-        (
-            "replica failstop on the chain driver",
-            wl().chain().fail_replica_at(SimTime::from_nanos(1), 1),
-            "DriverMismatch",
-        ),
-        (
-            "chain with zero backups",
-            wl().chain().backups(0),
-            "NoBackups",
-        ),
-        (
-            "lossy chain without retransmit",
-            wl().chain().lossy(0.5),
-            "LossWithoutRetransmit",
         ),
         (
             "NIC queue bound on the bare driver",
             wl().bare().nic_queue_bound(SimDuration::from_millis(1)),
-            "DriverMismatch",
-        ),
-        (
-            "NIC queue bound on the chain driver",
-            wl().chain().nic_queue_bound(SimDuration::from_millis(1)),
             "DriverMismatch",
         ),
         (
@@ -115,28 +88,13 @@ fn every_invalid_combination_yields_its_config_error() {
             "DriverMismatch",
         ),
         (
-            "worker threads on the chain driver",
-            wl().chain().parallelism(Parallelism::Threads(2)),
-            "DriverMismatch",
-        ),
-        (
-            "legacy block_exec(false) against exec_tier(Jit)",
-            wl().block_exec(false).exec_tier(ExecTier::Jit),
-            "ExecTierConflict",
-        ),
-        (
-            "legacy block_exec(true) against exec_tier(Step)",
-            wl().exec_tier(ExecTier::Step).block_exec(true),
-            "ExecTierConflict",
-        ),
-        (
             "rejoin schedule without the reliable layer",
             wl().rejoin_replica_at(SimTime::from_nanos(1_000_000), 1),
             "RejoinWithoutRetransmit",
         ),
         (
-            "rejoin schedule on a chain run",
-            wl().chain()
+            "rejoin schedule on the bare driver",
+            wl().bare()
                 .retransmit(SimDuration::from_micros(40))
                 .rejoin_replica_at(SimTime::from_nanos(1_000_000), 1),
             "DriverMismatch",
@@ -201,7 +159,7 @@ fn the_boundary_values_are_accepted() {
             .retransmit(SimDuration::from_millis(5))
             .detector_timeout(SimDuration::from_millis(5) * 32),
         wl().bare(),
-        wl().chain().fail_primary_at_epoch(1),
+        wl().fail_primary_at_epoch(1),
         wl().nic_queue_bound(SimDuration::from_millis(1)),
         wl().parallelism(Parallelism::Threads(8)),
         // An explicit Sequential request is fine on any driver.
