@@ -124,7 +124,7 @@ fn bench_cluster_scale(c: &mut Criterion) {
     let mut fingerprints: Vec<(String, String, Vec<String>)> = Vec::new();
     for shards in [2usize, 4, 8] {
         for backups in [1usize, 2] {
-            for tier in [ExecTier::Block, ExecTier::Jit] {
+            for tier in [ExecTier::Step, ExecTier::Jit] {
                 let point = format!("{shards}sys_t{backups}_{tier}");
                 for par in [
                     Parallelism::Sequential,

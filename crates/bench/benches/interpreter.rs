@@ -32,7 +32,9 @@ fn bench_interpreter(c: &mut Criterion) {
     let mut g = c.benchmark_group("interpreter");
     g.throughput(Throughput::Elements(retired));
     g.sample_size(20);
-    // "after": the predecoded-block engine (the default).
+    // "after": the threaded-code superblock jit (the default). Each
+    // iteration re-boots cold (empty caches), so compile + warm-up cost
+    // is inside the measurement.
     g.bench_function("bare_dhrystone_5k_iters", |b| {
         b.iter(|| {
             host.reset(&image);
@@ -49,23 +51,12 @@ fn bench_interpreter(c: &mut Criterion) {
             black_box(host.run(100_000_000).retired)
         })
     });
-    // Tier 2: the threaded-code superblock jit, same harness. Each
-    // iteration re-boots cold (empty caches), so compile + warm-up cost
-    // is inside the measurement, exactly like the block engine's.
-    host.set_exec_tier(ExecTier::Jit);
-    g.bench_function("bare_dhrystone_5k_iters_jit", |b| {
-        b.iter(|| {
-            host.reset(&image);
-            black_box(host.run(100_000_000).retired)
-        })
-    });
     g.finish();
     // Call-heavy guest: leaf calls, calls into the next text page and a
     // deep monomorphic recursion. This is where the jit tier's inline
     // return cache and cross-page traces pay off, so it gets its own
-    // block-vs-jit pair.
+    // step-vs-jit pair.
     let cs_image = build_image(&KernelConfig::default(), &callstorm_source(2_000, 12)).unwrap();
-    host.set_exec_tier(ExecTier::Block);
     let cs_retired = {
         host.reset(&cs_image);
         host.run(100_000_000).retired
@@ -73,14 +64,14 @@ fn bench_interpreter(c: &mut Criterion) {
     let mut g = c.benchmark_group("interpreter");
     g.throughput(Throughput::Elements(cs_retired));
     g.sample_size(20);
-    g.bench_function("bare_callstorm_2k_iters", |b| {
+    g.bench_function("bare_callstorm_2k_iters_step", |b| {
         b.iter(|| {
             host.reset(&cs_image);
             black_box(host.run(100_000_000).retired)
         })
     });
     host.set_exec_tier(ExecTier::Jit);
-    g.bench_function("bare_callstorm_2k_iters_jit", |b| {
+    g.bench_function("bare_callstorm_2k_iters", |b| {
         b.iter(|| {
             host.reset(&cs_image);
             black_box(host.run(100_000_000).retired)

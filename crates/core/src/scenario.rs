@@ -507,10 +507,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the execution engine for every guest — the single-step
-    /// reference interpreter, predecoded blocks (the default) or the
-    /// threaded-code jit. All tiers are observably identical; see the
-    /// three-way differential oracle in `tests/proptest_step_vs_block.rs`.
+    /// Selects the execution engine for every guest — the threaded-code
+    /// jit (the default) or the single-step reference interpreter. Both
+    /// tiers are observably identical; see the Step-vs-Jit differential
+    /// oracle in `tests/proptest_step_vs_jit.rs`.
     pub fn exec_tier(mut self, tier: ExecTier) -> Self {
         self.cfg.hv.exec_tier = tier;
         self

@@ -104,7 +104,7 @@ impl BareHost {
         }
     }
 
-    /// Selects the execution engine (default: predecoded blocks). The
+    /// Selects the execution engine (default: the jit). The
     /// choice survives [`BareHost::reset`], so benches that re-boot the
     /// host per iteration keep measuring the selected tier.
     pub fn set_exec_tier(&mut self, tier: ExecTier) {
@@ -251,10 +251,10 @@ impl BareHost {
 
     /// Runs the guest to completion (or the instruction limit).
     ///
-    /// Execution goes through the predecoded-block engine
-    /// ([`Cpu::run`]), entered with a budget clamped to the next
-    /// timer/disk deadline so devices interrupt at exactly the same
-    /// instruction as single-stepping would.
+    /// Execution goes through [`Cpu::run`] at the selected tier,
+    /// entered with a budget clamped to the next timer/disk deadline so
+    /// devices interrupt at exactly the same instruction as
+    /// single-stepping would.
     pub fn run(&mut self, max_insns: u64) -> BareRunResult {
         let start = self.now;
         let result_exit = loop {

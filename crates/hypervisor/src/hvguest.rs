@@ -118,10 +118,10 @@ pub struct HvConfig {
     pub tlb_seed: u64,
     /// Guest RAM size in bytes.
     pub ram_bytes: usize,
-    /// Which execution engine the CPU uses: the single-step reference
-    /// interpreter, predecoded blocks (the default) or the threaded-code
-    /// jit. All three are observably identical, and the knob lets
-    /// differential tests prove that.
+    /// Which execution engine the CPU uses: the threaded-code jit (the
+    /// default) or the single-step reference interpreter. Both are
+    /// observably identical, and the knob lets differential tests prove
+    /// that.
     pub exec_tier: ExecTier,
 }
 
@@ -134,7 +134,7 @@ impl Default for HvConfig {
             tlb_policy: TlbReplacement::Random,
             tlb_seed: 0,
             ram_bytes: hvft_guest::layout::RAM_BYTES,
-            exec_tier: ExecTier::Block,
+            exec_tier: ExecTier::default(),
         }
     }
 }
@@ -267,8 +267,8 @@ impl HvGuest {
     }
 
     /// Captures the guest's canonical state. The machine's derived
-    /// caches (decoded blocks, JIT superblocks, TLB front array) are
-    /// excluded by construction; see [`hvft_machine::snapshot`].
+    /// caches (JIT superblocks, TLB front array) are excluded by
+    /// construction; see [`hvft_machine::snapshot`].
     pub fn snapshot(&self) -> HvGuestSnapshot {
         HvGuestSnapshot {
             cpu: self.cpu.snapshot(),
@@ -349,11 +349,11 @@ impl HvGuest {
     /// Runs the guest until a hypervisor-level event occurs or `budget`
     /// simulated time has been consumed (measured from this call).
     ///
-    /// Execution goes through the predecoded-block engine
-    /// ([`Cpu::run`]) with the instruction budget set to exactly the
-    /// count the per-step path would retire before exhausting the time
-    /// budget, so pause points (and therefore the conservative
-    /// co-simulation's horizons) are unchanged.
+    /// Execution goes through [`Cpu::run`] at the selected tier with
+    /// the instruction budget set to exactly the count the per-step
+    /// path would retire before exhausting the time budget, so pause
+    /// points (and therefore the conservative co-simulation's
+    /// horizons) are unchanged.
     pub fn run(&mut self, budget: SimDuration) -> HvEvent {
         let deadline = self.elapsed + budget;
         loop {

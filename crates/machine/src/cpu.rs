@@ -13,10 +13,9 @@
 //! The split keeps the CPU policy-free: it knows nothing about devices,
 //! wall-clock time, or replication.
 
-use crate::block::{BlockCache, BlockCacheStats};
 use crate::exec::{ExecDispatcher, ExecStats, ExecTier};
 use crate::jit::Lookup;
-use crate::mem::{MemFault, Memory, PAGE_SHIFT};
+use crate::mem::{MemFault, Memory, PAGE_SIZE};
 use crate::psw::Psw;
 use crate::tlb::{Tlb, TlbAccess, TlbReplacement, TlbResult};
 use crate::trap::Trap;
@@ -28,8 +27,8 @@ use hvft_isa::reg::{ControlReg, Reg};
 const NUM_CTL: usize = 10;
 
 /// Three-register ALU semantics; `None` flags division by zero (an
-/// arithmetic trap). Shared by the step, block and jit paths so the
-/// three cannot drift (the jit's specialized handlers call this with a
+/// arithmetic trap). Shared by the step and jit paths so the two
+/// cannot drift (the jit's specialized handlers call this with a
 /// constant `op`, which folds away after inlining).
 #[inline]
 pub(crate) fn alu_value(op: AluOp, a: u32, b: u32) -> Option<u32> {
@@ -181,7 +180,7 @@ pub struct Cpu {
     pub tlb: Tlb,
     retired: u64,
     /// Execution-tier dispatcher backing [`Cpu::run`]: the selected
-    /// [`ExecTier`] plus the block and superblock caches.
+    /// [`ExecTier`] plus the superblock cache.
     exec: ExecDispatcher,
 }
 
@@ -226,11 +225,6 @@ impl Cpu {
     /// The execution tier [`Cpu::run`] currently uses.
     pub fn exec_tier(&self) -> ExecTier {
         self.exec.tier
-    }
-
-    /// Block-cache behaviour counters.
-    pub fn block_cache_stats(&self) -> BlockCacheStats {
-        self.exec.blocks.stats()
     }
 
     /// Per-tier execution counters since reset.
@@ -288,8 +282,8 @@ impl Cpu {
     }
 
     /// Captures the architectural CPU state (plus the cumulative
-    /// [`ExecStats`]) for a whole-machine snapshot. The block and
-    /// superblock caches are derived state and are not captured.
+    /// [`ExecStats`]) for a whole-machine snapshot. The superblock
+    /// cache is derived state and is not captured.
     pub fn snapshot(&self) -> crate::snapshot::CpuSnapshot {
         crate::snapshot::CpuSnapshot {
             regs: self.regs,
@@ -305,8 +299,8 @@ impl Cpu {
 
     /// Restores state captured by [`Cpu::snapshot`]. The dispatcher is
     /// replaced with a cold one (same tier, counters carried over):
-    /// blocks and superblocks recompile on demand, which changes cache
-    /// statistics but never architectural behaviour.
+    /// superblocks recompile on demand, which changes cache statistics
+    /// but never architectural behaviour.
     pub fn restore(&mut self, snap: &crate::snapshot::CpuSnapshot) {
         self.regs = snap.regs;
         self.pc = snap.pc;
@@ -498,14 +492,13 @@ impl Cpu {
     /// Every tier is observably identical — same exits at the same
     /// retirement counts with the same machine state — to calling
     /// [`Cpu::step`] in a loop `max_insns` times and stopping at the
-    /// first non-retired exit. See [`crate::block`] and [`crate::jit`]
-    /// for why the batching cannot move an epoch boundary or an
-    /// interrupt-delivery point.
+    /// first non-retired exit. See [`crate::jit`] for why the batching
+    /// cannot move an epoch boundary or an interrupt-delivery point.
     pub fn run(&mut self, mem: &mut Memory, max_insns: u64) -> Exit {
         let goal = self.retired.saturating_add(max_insns);
-        // Move the dispatcher out of `self` so blocks can be borrowed
-        // from its caches while `execute` borrows `self` — no
-        // refcounting or copying on the hot path.
+        // Move the dispatcher out of `self` so superblocks can be
+        // borrowed from its cache while they execute against `self` —
+        // no refcounting or copying on the hot path.
         let mut d = std::mem::take(&mut self.exec);
         let before = self.retired;
         let exit = match d.tier {
@@ -520,23 +513,18 @@ impl Cpu {
                 d.stats.step_retired += self.retired - before;
                 e
             }
-            ExecTier::Block => {
-                let e = self.run_blocks(&mut d.blocks, mem, goal);
-                d.stats.block_retired += self.retired - before;
-                e
-            }
             ExecTier::Jit => self.run_tiered(&mut d, mem, goal),
         };
         self.exec = d;
         exit
     }
 
-    /// Pre-dispatch checks shared by every engine, identical to the
+    /// The jit dispatcher's pre-dispatch checks, identical to the
     /// first checks of [`Cpu::step`]: recovery-counter expiry, pending
-    /// enabled interrupt, PC alignment. Nothing inside a block or
-    /// superblock can change their inputs (every PSW/ctl/TLB writer is
-    /// privileged, hence excluded from batched bodies), so checking
-    /// once per dispatch equals checking once per step.
+    /// enabled interrupt, PC alignment. Nothing inside a superblock can
+    /// change their inputs (every PSW/ctl/TLB writer is privileged,
+    /// hence never compiled), so checking once per dispatch equals
+    /// checking once per step.
     #[inline]
     fn pre_dispatch_check(&self) -> Option<Exit> {
         if self.psw.recovery && self.ctl(ControlReg::Rctr) == 0 {
@@ -551,26 +539,8 @@ impl Cpu {
         None
     }
 
-    fn run_blocks(&mut self, cache: &mut BlockCache, mem: &mut Memory, goal: u64) -> Exit {
-        while self.retired < goal {
-            if let Some(e) = self.pre_dispatch_check() {
-                return e;
-            }
-            // One translation covers the whole block: blocks never
-            // cross a page boundary.
-            let fetch_pa = match self.translate(self.pc, TlbAccess::Execute) {
-                Ok(p) => p,
-                Err(t) => return Exit::Trap(t),
-            };
-            if let Some(e) = self.block_iteration(cache, mem, goal, fetch_pa) {
-                return e;
-            }
-        }
-        Exit::Retired
-    }
-
-    /// The jit tier: compiled superblocks where they exist, the block
-    /// engine everywhere else (cold code, traps, uncompilable starts).
+    /// The jit tier: compiled superblocks where they exist, single
+    /// steps everywhere else (cold code, traps, uncompilable starts).
     fn run_tiered(&mut self, d: &mut ExecDispatcher, mem: &mut Memory, goal: u64) -> Exit {
         while self.retired < goal {
             if let Some(e) = self.pre_dispatch_check() {
@@ -604,9 +574,9 @@ impl Cpu {
                 }
                 Lookup::Cold => {
                     let before = self.retired;
-                    let r = self.block_iteration(&mut d.blocks, mem, goal, fetch_pa);
+                    let e = self.step_straight_line(mem, goal);
                     d.stats.block_retired += self.retired - before;
-                    if let Some(e) = r {
+                    if e != Exit::Retired {
                         return e;
                     }
                 }
@@ -615,128 +585,29 @@ impl Cpu {
         Exit::Retired
     }
 
-    /// One block-engine dispatch: executes the block at `fetch_pa` (at
-    /// most to `goal`), returning `Some(exit)` to surface an exit or
-    /// `None` to re-enter the dispatch loop.
-    fn block_iteration(
-        &mut self,
-        cache: &mut BlockCache,
-        mem: &mut Memory,
-        goal: u64,
-        fetch_pa: u32,
-    ) -> Option<Exit> {
-        let Some(block) = cache.get_or_build(fetch_pa, mem) else {
-            // Unreadable or undecodable first word: the slow path
-            // raises the exact trap.
-            return Some(self.step(mem));
-        };
-        // Clamp so the recovery counter can only expire *between*
-        // instructions, exactly where the per-step path traps.
-        let len = block.insns.len();
-        let mut n = (goal - self.retired).min(len as u64);
-        if self.psw.recovery {
-            n = n.min(u64::from(self.ctl(ControlReg::Rctr)));
-        }
-        let n = n as usize;
-        // Only a block's final instruction can be a terminator, so
-        // the straight-line prefix is terminator-free — and since
-        // every privileged instruction is a terminator, it is also
-        // privilege-check-free. Retirement bookkeeping (pc,
-        // retired, rctr) for the prefix is batched: instructions in
-        // the prefix never observe those registers, and every path
-        // that leaves the prefix syncs them first, so the batching
-        // is invisible.
-        let has_term = n == len && block.insns[n - 1].is_block_terminator();
-        let straight = if has_term { n - 1 } else { n };
-        let base_pc = self.pc;
-        let block_gen = block.gen;
-        let block_page_addr = fetch_pa & !((1u32 << PAGE_SHIFT) - 1);
-        for (done, &insn) in block.insns[..straight].iter().enumerate() {
-            use Instruction as I;
-            match insn {
-                I::Alu { op, rd, rs1, rs2 } => {
-                    let a = self.reg(rs1);
-                    let b = self.reg(rs2);
-                    match alu_value(op, a, b) {
-                        Some(v) => self.set_reg(rd, v),
-                        None => {
-                            self.sync_batch(base_pc, done);
-                            return Some(Exit::Trap(Trap::ArithmeticError));
-                        }
-                    }
-                }
-                I::AluImm { op, rd, rs1, imm } => {
-                    let v = alu_imm_value(op, self.reg(rs1), imm);
-                    self.set_reg(rd, v);
-                }
-                I::Lui { rd, imm } => self.set_reg(rd, imm << 13),
-                I::Nop => {}
-                I::Load {
-                    width,
-                    rd,
-                    base,
-                    disp,
-                } => match self.access_load(width, rd, base, disp, mem) {
-                    Ok(v) => self.set_reg(rd, v),
-                    Err(exit) => {
-                        self.sync_batch(base_pc, done);
-                        return Some(exit);
-                    }
-                },
-                I::Store {
-                    width,
-                    rs,
-                    base,
-                    disp,
-                } => match self.access_store(width, rs, base, disp, mem) {
-                    Ok(()) => {
-                        // The store may have patched this block's
-                        // own page ahead of the program counter;
-                        // abandon the predecoded tail and re-fetch.
-                        if mem.page_gen(block_page_addr) != block_gen {
-                            self.sync_batch(base_pc, done + 1);
-                            return None;
-                        }
-                    }
-                    Err(exit) => {
-                        self.sync_batch(base_pc, done);
-                        return Some(exit);
-                    }
-                },
-                // Probe (the only other non-terminator) and any
-                // future stragglers: sync and take the generic
-                // per-instruction path, then re-enter the block
-                // machinery from the next pc.
-                other => {
-                    self.sync_batch(base_pc, done);
-                    let e = self.execute(other, block.words[done], mem);
-                    if e != Exit::Retired {
-                        return Some(e);
-                    }
-                    return None;
-                }
+    /// The jit tier's cold path: single-steps one straight-line run —
+    /// until a step returns a non-retired exit, `goal` is met, or the
+    /// PC leaves `pc + 4` (a taken control transfer) or reaches a page
+    /// start — so the dispatcher's heat probe fires only where a
+    /// straight-line run is entered. [`Cpu::step`] does every check
+    /// itself, so this path is exact by definition.
+    fn step_straight_line(&mut self, mem: &mut Memory, goal: u64) -> Exit {
+        loop {
+            let next = self.pc.wrapping_add(4);
+            let e = self.step(mem);
+            if e != Exit::Retired
+                || self.retired >= goal
+                || self.pc != next
+                || self.pc.is_multiple_of(PAGE_SIZE)
+            {
+                return e;
             }
         }
-        self.sync_batch(base_pc, straight);
-        if has_term {
-            let insn = block.insns[n - 1];
-            if insn.is_privileged() && self.psw.cpl != 0 {
-                return Some(Exit::Trap(Trap::PrivilegedOp {
-                    word: block.words[n - 1],
-                }));
-            }
-            let e = self.execute(insn, block.words[n - 1], mem);
-            if e != Exit::Retired {
-                return Some(e);
-            }
-        }
-        None
     }
 
-    /// Load semantics shared by [`Cpu::step`], the block engine and
-    /// the jit so they cannot drift: alignment check, translation,
-    /// access and
-    /// width extension. `Ok` is the value for `rd`; `Err` is the exit
+    /// Load semantics shared by [`Cpu::step`] and the jit so they
+    /// cannot drift: alignment check, translation, access and width
+    /// extension. `Ok` is the value for `rd`; `Err` is the exit
     /// (trap or MMIO) the caller must surface. Retirement is the
     /// caller's job.
     #[inline]
@@ -808,26 +679,11 @@ impl Cpu {
         }
     }
 
-    /// Folds a batch of `done` straight-line retirements into the
-    /// architectural state: pc, retired count, and the recovery
-    /// counter. `done` never exceeds the block-entry clamp, so the
-    /// recovery counter cannot underflow.
-    #[inline]
-    fn sync_batch(&mut self, base_pc: u32, done: usize) {
-        self.pc = base_pc.wrapping_add(done as u32 * 4);
-        self.retired += done as u64;
-        if self.psw.recovery && done > 0 {
-            let rctr = self.ctl(ControlReg::Rctr);
-            self.set_ctl(ControlReg::Rctr, rctr - done as u32);
-        }
-    }
-
     /// Folds `done` retirements from a superblock run into the
     /// architectural state (retired count and recovery counter); the
-    /// PC is set by the superblock's exit path, which may have jumped,
-    /// so it cannot be derived from a base the way [`Cpu::sync_batch`]
-    /// does. `done` never exceeds the superblock-entry clamp, so the
-    /// recovery counter cannot underflow.
+    /// PC is set by the superblock's exit path. `done` never exceeds
+    /// the superblock-entry clamp, so the recovery counter cannot
+    /// underflow.
     #[inline]
     pub(crate) fn sync_retire(&mut self, done: u64) {
         self.retired += done;
@@ -1385,7 +1241,7 @@ mod tests {
         assert_eq!(cpu.run(&mut mem, 2), Exit::Retired);
         assert_eq!(cpu.retired(), 2);
         assert_eq!(cpu.pc, 8, "budget must stop between instructions");
-        // Resume mid-block: a new (overlapping) block starts at pc.
+        // Resume mid-run: a new straight-line run starts at pc.
         assert_eq!(cpu.run(&mut mem, 100), Exit::Halt);
         assert_eq!(cpu.retired(), 6);
     }
@@ -1419,9 +1275,9 @@ mod tests {
     #[test]
     fn run_patching_ahead_within_the_same_block() {
         // The store at address 4 rewrites the instruction at address 20
-        // *in the same straight-line block* before it executes. The
-        // block engine must abandon the predecoded tail and re-fetch,
-        // exactly like the per-step path.
+        // *in the same straight-line run* before it executes. The
+        // default tier must execute the patched word, exactly like the
+        // per-step path.
         let src = "start:
                 lw   r4, 256(r0)     ; replacement word, poked below
                 sw   r4, 20(r0)      ; patch the insn at address 20
@@ -1445,35 +1301,15 @@ mod tests {
             assert_eq!(e, Exit::Halt);
             (cpu.reg(Reg::of(6)), cpu.retired())
         };
-        let (blocked, retired_b) = run_with(ExecTier::Block);
+        let (jitted, retired_j) = run_with(ExecTier::Jit);
         let (stepped, retired_s) = run_with(ExecTier::Step);
-        assert_eq!(blocked, 99, "patched instruction must be executed");
-        assert_eq!(blocked, stepped);
-        assert_eq!(retired_b, retired_s);
+        assert_eq!(jitted, 99, "patched instruction must be executed");
+        assert_eq!(jitted, stepped);
+        assert_eq!(retired_j, retired_s);
     }
 
     #[test]
-    fn run_block_cache_hits_on_loops() {
-        let (mut cpu, mut mem) = setup(
-            "start:
-                addi r5, r0, 50
-            loop:
-                addi r6, r6, 1
-                addi r5, r5, -1
-                bne  r5, r0, loop
-                halt",
-        );
-        assert_eq!(cpu.run(&mut mem, 100_000), Exit::Halt);
-        assert_eq!(cpu.reg(Reg::of(6)), 50);
-        let stats = cpu.block_cache_stats();
-        assert!(
-            stats.hits > 40,
-            "loop iterations must hit the cache: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn jit_tier_matches_the_other_engines_on_a_hot_loop() {
+    fn jit_tier_matches_the_step_engine_on_a_hot_loop() {
         let src = "start:
                 addi r5, r0, 200
             loop:
@@ -1495,9 +1331,7 @@ mod tests {
             )
         };
         let step = run_tier(ExecTier::Step);
-        let block = run_tier(ExecTier::Block);
         let jit = run_tier(ExecTier::Jit);
-        assert_eq!(step, block);
         assert_eq!(step, jit);
     }
 
@@ -1559,7 +1393,7 @@ mod tests {
     fn jit_self_patching_superblock_is_abandoned_and_recompiled() {
         // Warm the loop so it compiles, then let it patch an
         // instruction *inside its own superblock* ahead of the PC.
-        // Identical architectural results are required on every tier.
+        // Identical architectural results are required on both tiers.
         let src = "start:
                 lw   r4, 768(r0)     ; replacement word, poked below
                 addi r5, r0, 100
@@ -1584,9 +1418,7 @@ mod tests {
             (cpu.reg(Reg::of(6)), cpu.retired())
         };
         let step = run_tier(ExecTier::Step);
-        let block = run_tier(ExecTier::Block);
         let jit = run_tier(ExecTier::Jit);
-        assert_eq!(step, block);
         assert_eq!(step, jit);
         // The patch landed: 1 iteration of +1, 99 of +10.
         assert_eq!(step.0, 1 + 99 * 10);

@@ -1,30 +1,28 @@
 //! Execution tiers and the dispatcher state behind [`Cpu::run`].
 //!
-//! The CPU offers three observably identical ways to execute a budget
-//! of instructions:
+//! The CPU offers two observably identical ways to execute a budget of
+//! instructions:
 //!
 //! - [`ExecTier::Step`] — the reference interpreter: one fetch,
 //!   translate and decode per instruction ([`Cpu::step`] in a loop);
-//! - [`ExecTier::Block`] — predecoded basic blocks ([`crate::block`]):
-//!   one translation and one cache lookup per straight-line run;
-//! - [`ExecTier::Jit`] — threaded-code superblocks ([`crate::jit`]):
-//!   hot code is compiled into chains of pre-specialized handler
-//!   functions with operands resolved at compile time, entered when a
-//!   compiled superblock exists and falling back to the block engine
-//!   on cold paths.
+//! - [`ExecTier::Jit`] (the default) — threaded-code superblocks
+//!   ([`crate::jit`]): hot code is compiled into chains of
+//!   pre-specialized handler functions with operands resolved at
+//!   compile time, entered when a compiled superblock exists; cold code
+//!   single-steps one straight-line run at a time, which is where the
+//!   heat probe that drives promotion fires.
 //!
 //! "Observably identical" is load-bearing: the paper's protocols
 //! (Bressoud & Schneider §2.1) require epoch boundaries and interrupt
-//! delivery to land at *exact* retirement counts, so every tier clamps
-//! execution to `min(budget, rctr)` and reports the same exits at the
-//! same retirement counts with the same machine state. The three-way
-//! differential oracle in `tests/proptest_step_vs_block.rs` enforces
+//! delivery to land at *exact* retirement counts, so both tiers clamp
+//! execution to `min(budget, rctr)` and report the same exits at the
+//! same retirement counts with the same machine state. The
+//! differential oracle in `tests/proptest_step_vs_jit.rs` enforces
 //! this.
 //!
 //! [`Cpu::run`]: crate::cpu::Cpu::run
 //! [`Cpu::step`]: crate::cpu::Cpu::step
 
-use crate::block::BlockCache;
 use crate::jit::JitCache;
 use core::fmt;
 use std::str::FromStr;
@@ -33,12 +31,12 @@ use std::str::FromStr;
 /// instruction budget.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum ExecTier {
-    /// Single-step reference interpreter (tier 0).
+    /// Single-step reference interpreter: the oracle every batching
+    /// path is compared against.
     Step,
-    /// Predecoded basic blocks (tier 1, the default).
+    /// Threaded-code superblock JIT over a single-stepped cold path
+    /// (the default).
     #[default]
-    Block,
-    /// Threaded-code superblock JIT over the block engine (tier 2).
     Jit,
 }
 
@@ -46,7 +44,6 @@ impl fmt::Display for ExecTier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             ExecTier::Step => "step",
-            ExecTier::Block => "block",
             ExecTier::Jit => "jit",
         })
     }
@@ -58,10 +55,9 @@ impl FromStr for ExecTier {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "step" => Ok(ExecTier::Step),
-            "block" => Ok(ExecTier::Block),
             "jit" => Ok(ExecTier::Jit),
             other => Err(format!(
-                "unknown exec tier {other:?} (expected step, block or jit)"
+                "unknown exec tier {other:?} (expected step or jit)"
             )),
         }
     }
@@ -79,8 +75,10 @@ impl FromStr for ExecTier {
 pub struct ExecStats {
     /// Instructions retired by the single-step loop.
     pub step_retired: u64,
-    /// Instructions retired by the block engine (including the cold
-    /// fallback path of the jit tier).
+    /// Instructions the jit tier retired *outside* compiled
+    /// superblocks, on its single-stepped cold path. (The name predates
+    /// the removal of the predecoded-block tier and is kept for API
+    /// compatibility.)
     pub block_retired: u64,
     /// Instructions retired inside compiled superblocks.
     pub jit_retired: u64,
@@ -105,15 +103,34 @@ pub struct ExecStats {
     pub cross_page_superblocks: u64,
 }
 
-/// Dispatcher state owned by the CPU: the selected tier plus the caches
-/// of both batching engines. Kept in one struct so
+/// Dispatcher state owned by the CPU: the selected tier plus the
+/// superblock cache. Kept in one struct so
 /// [`Cpu::run`](crate::cpu::Cpu::run) can move it out of the CPU
-/// wholesale while executing (blocks are borrowed from the caches while
-/// `execute` borrows the CPU).
+/// wholesale while executing (superblocks are borrowed from the cache
+/// while they execute against the CPU).
 #[derive(Debug, Default)]
 pub struct ExecDispatcher {
     pub(crate) tier: ExecTier,
-    pub(crate) blocks: BlockCache,
     pub(crate) jit: JitCache,
     pub(crate) stats: ExecStats,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tier_names_round_trip_and_default_is_jit() {
+        assert_eq!(ExecTier::default(), ExecTier::Jit);
+        for tier in [ExecTier::Step, ExecTier::Jit] {
+            assert_eq!(tier.to_string().parse::<ExecTier>(), Ok(tier));
+        }
+    }
+
+    #[test]
+    fn unknown_tier_names_the_valid_ones() {
+        let err = "block".parse::<ExecTier>().unwrap_err();
+        assert!(err.contains("\"block\""), "{err}");
+        assert!(err.contains("step") && err.contains("jit"), "{err}");
+    }
 }

@@ -12,19 +12,19 @@
 //! (op index, budget, register-file base) lives in machine registers
 //! across ops.
 //!
-//! Superblocks are larger than the basic blocks of [`crate::block`]:
-//! compilation is a *trace* — it continues through conditional
-//! branches (the not-taken path falls through to the next op) and
-//! follows the static target of unconditional `jal`s, so a call and
-//! its callee compile into one superblock. Each op records its own
-//! entry-relative PC offset, which is what lets the trace leave
-//! address order. Any branch or `jal` whose target was compiled into
-//! the trace is wired directly to the target op index, so a hot loop —
-//! calls included — executes entirely inside one superblock without
-//! re-entering the dispatcher. Compilation stops at the first
-//! `jalr`-class register-indirect jump, at any privileged or trapping
-//! instruction (`gate`, `brk`, every environment op), at an
-//! undecodable word, or at an already-compiled address.
+//! Superblocks are larger than basic blocks: compilation is a *trace* —
+//! it continues through conditional branches (the not-taken path falls
+//! through to the next op) and follows the static target of
+//! unconditional `jal`s, so a call and its callee compile into one
+//! superblock. Each op records its own entry-relative PC offset, which
+//! is what lets the trace leave address order. Any branch or `jal`
+//! whose target was compiled into the trace is wired directly to the
+//! target op index, so a hot loop — calls included — executes entirely
+//! inside one superblock without re-entering the dispatcher.
+//! Compilation stops at the first `jalr`-class register-indirect jump,
+//! at any privileged or trapping instruction (`gate`, `brk`, every
+//! environment op), at an undecodable word, or at an already-compiled
+//! address.
 //!
 //! Unlike basic blocks, a trace may **cross pages**: a `jal` whose
 //! target lies in another page (up to `MAX_TRACE_PAGES` per trace)
@@ -52,8 +52,9 @@
 //! # Exactness
 //!
 //! The engine preserves the paper's Instruction-Stream Interrupt
-//! Assumption by construction, extending the argument in
-//! [`crate::block`] from basic blocks to superblocks:
+//! Assumption by construction. Code that is not compiled runs through
+//! [`Cpu::step`], the reference interpreter, so exactness only has to
+//! be argued for superblocks:
 //!
 //! - **retirement clamp**: a superblock entry receives a budget of
 //!   `min(caller budget, rctr)` and executes at most that many ops,
@@ -75,12 +76,13 @@
 //!   dispatcher refuses stale entries, and every compiled store
 //!   re-checks all of the superblock's pages so a trace that patches
 //!   any page it was compiled from — its own or a cross-page callee's
-//!   — abandons its compiled tail exactly like the block engine does;
+//!   — abandons its compiled tail and re-fetches the patched words
+//!   exactly like the per-step path;
 //! - **cross-page entry validation**: a secondary page's translation
 //!   is re-checked against the recorded physical page on every entry,
 //!   so a TLB remap, purge or privilege change makes the trace
-//!   unreachable (the block engine then takes the exact fault, if
-//!   any, at the exact instruction the per-step path would).
+//!   unreachable (the single-stepped cold path then takes the exact
+//!   fault, if any, at the exact instruction the per-step path would).
 
 use crate::cpu::{alu_imm_value, alu_value, Cpu, Exit};
 use crate::exec::ExecStats;
@@ -98,7 +100,8 @@ use std::collections::HashMap;
 pub(crate) const PROMOTE_THRESHOLD: u32 = 16;
 
 /// Cap on compiled superblocks; crossing it clears the cache wholesale
-/// (same rationale as the block cache's cap).
+/// (the working set of real guests is far below this — the cap only
+/// guards pathological fragmentation from eating memory).
 const MAX_SUPERBLOCKS: usize = 4096;
 
 /// Cap on tracked cold addresses before the heat table is reset.
@@ -276,7 +279,7 @@ pub(crate) struct SuperBlock {
 
 impl SuperBlock {
     /// Empty marker for an address that does not compile (until its
-    /// page changes again): the block engine owns it.
+    /// page changes again): the single-stepped cold path owns it.
     fn marker(paddr: u32, gen: u64) -> SuperBlock {
         SuperBlock {
             ops: Box::new([]),
@@ -604,9 +607,9 @@ impl JitCache {
     ///
     /// Each op body routes through the same shared semantics helpers
     /// (`alu_value`, `alu_imm_value`, `access_load`, `access_store`)
-    /// as the step and block engines, with the operation passed as a
-    /// constant that folds away after inlining — so the three engines
-    /// cannot drift.
+    /// as the step engine, with the operation passed as a constant
+    /// that folds away after inlining — so the two engines cannot
+    /// drift.
     pub(crate) fn run_chain(
         &self,
         start: u32,
@@ -913,7 +916,7 @@ pub(crate) enum Lookup {
     /// (resolve it with [`JitCache::get`]); execute it.
     Compiled(u32),
     /// No compiled code here (cold, not yet hot, or uncompilable):
-    /// the caller falls back to the block engine.
+    /// the caller single-steps one straight-line run.
     Cold,
 }
 
@@ -1057,9 +1060,9 @@ impl JitCache {
                 // compiled from (a remap, a purge, or a privilege
                 // change). The code itself is intact, so keep the
                 // trace — the mapping usually comes back — and let
-                // the block engine own this entry meanwhile; it takes
-                // the exact fault, if any, where the per-step path
-                // would.
+                // the single-stepped cold path own this entry
+                // meanwhile; it takes the exact fault, if any, where
+                // the per-step path would.
                 return Lookup::Cold;
             }
             self.front_mut()[fidx] = (paddr, idx);
@@ -1084,8 +1087,9 @@ impl JitCache {
                 sb
             }
             // Uncompilable start (privileged or undecodable first
-            // word): cache an empty marker so the block engine owns
-            // this address without re-attempting compilation.
+            // word): cache an empty marker so the single-stepped cold
+            // path owns this address without re-attempting
+            // compilation.
             None => SuperBlock::marker(paddr, gen),
         };
         if self.arena.len() >= MAX_SUPERBLOCKS {

@@ -44,9 +44,9 @@ pub enum AddrKind {
 pub struct Memory {
     ram: Vec<u8>,
     /// Per-page write generation, bumped on every RAM write (CPU store,
-    /// program load, or device DMA). The block cache compares a cached
-    /// block's recorded generation against the current one to detect
-    /// self-modifying code without any registration protocol.
+    /// program load, or device DMA). The JIT compares a compiled
+    /// superblock's recorded generations against the current ones to
+    /// detect self-modifying code without any registration protocol.
     page_gens: Vec<u64>,
     /// Derived state-hash cache, allocated at the first hash: per page,
     /// the generation its digest was computed at and the digest. Never
@@ -118,7 +118,7 @@ impl Memory {
     }
 
     /// Write generation of the page containing `paddr`. Returns 0 for
-    /// addresses outside RAM (no blocks are ever cached there).
+    /// addresses outside RAM (no code is ever compiled there).
     pub fn page_gen(&self, paddr: u32) -> u64 {
         self.page_gens
             .get((paddr >> PAGE_SHIFT) as usize)
@@ -134,7 +134,7 @@ impl Memory {
     }
 
     /// Zeroes all RAM in place (keeping the allocation) and bumps every
-    /// page generation so cached blocks over the old contents die.
+    /// page generation so superblocks compiled over the old contents die.
     pub fn reset(&mut self) {
         self.ram.fill(0);
         for g in &mut self.page_gens {
@@ -248,7 +248,7 @@ impl Memory {
     }
 
     /// Restores state captured by [`Memory::snapshot`]. Generations are
-    /// restored verbatim: block/superblock caches are rebuilt empty
+    /// restored verbatim: superblock caches are rebuilt empty
     /// after a restore, so they can only record generations at or after
     /// the captured values and SMC detection stays sound. The page
     /// digest cache is dropped: the donor's generation *g* on a page can
@@ -401,7 +401,7 @@ mod tests {
         let g = m.page_gen(16);
         m.reset();
         assert_eq!(m.read_u32(16), Ok(0));
-        assert_ne!(m.page_gen(16), g, "reset must invalidate cached blocks");
+        assert_ne!(m.page_gen(16), g, "reset must invalidate compiled code");
         assert_eq!(digests(&m), digests(&Memory::new(2 * PAGE_SIZE as usize)));
         assert_eq!(m.size(), 2 * PAGE_SIZE as usize);
     }

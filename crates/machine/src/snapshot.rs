@@ -12,8 +12,8 @@
 //!   replacement RNG state, plus the hit/miss counters
 //!   ([`TlbSnapshot`]).
 //!
-//! **Derived** state is deliberately absent: the decoded-block arena,
-//! the JIT superblock cache and the TLB front cache are all rebuilt
+//! **Derived** state is deliberately absent: the JIT superblock cache
+//! (with its heat table) and the TLB front cache are all rebuilt
 //! from scratch after a restore. They are pure accelerations of the
 //! canonical state, so dropping them changes *when* recompilation
 //! happens but never *what* the machine computes — the snapshot
@@ -59,8 +59,8 @@ impl TlbSnapshot {
 
 /// Architectural CPU state: registers, PC, PSW, control registers,
 /// retirement counter, the selected execution tier with its cumulative
-/// counters, and the TLB. The block and superblock caches are derived
-/// and start cold after a restore.
+/// counters, and the TLB. The superblock cache is derived and starts
+/// cold after a restore.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CpuSnapshot {
     pub(crate) regs: [u32; 32],

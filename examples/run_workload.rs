@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release --example run_workload                 # sweep them all
 //! cargo run --release --example run_workload -- sieve        # just one
-//! cargo run --release --example run_workload -- --tier=jit   # pick the engine
+//! cargo run --release --example run_workload -- --tier=step  # pick the engine
 //! ```
 //!
 //! Every guest in `hvft-guest`'s workload registry runs through the
@@ -18,9 +18,11 @@ use hvft::guest::workload::names;
 
 fn tier_summary(x: &ExecStats) -> String {
     let mut parts = Vec::new();
+    // `block_retired` counts what the jit tier retired outside
+    // compiled superblocks, on its single-stepped cold path.
     for (label, n) in [
         ("step", x.step_retired),
-        ("block", x.block_retired),
+        ("cold", x.block_retired),
         ("jit", x.jit_retired),
     ] {
         if n > 0 {
@@ -101,7 +103,10 @@ fn main() {
     let mut selected = Vec::new();
     for a in args {
         if let Some(t) = a.strip_prefix("--tier=") {
-            tier = t.parse().unwrap_or_else(|e| panic!("{e}"));
+            tier = t.parse().unwrap_or_else(|e| {
+                eprintln!("run_workload: {e}");
+                std::process::exit(2);
+            });
         } else {
             selected.push(a);
         }

@@ -1,30 +1,30 @@
-//! Differential tests: the three execution tiers against each other.
+//! Differential tests: the two execution tiers against each other.
 //!
-//! `Cpu::run` under every [`ExecTier`] — the single-step reference
-//! interpreter, the predecoded-block engine, and the threaded-code
-//! superblock jit — must be **observably identical**: same retired
-//! counts, same machine-state hashes, same trap sequences at the same
-//! instruction-stream points, same console bytes. This file proves it
-//! four ways:
+//! `Cpu::run` under both [`ExecTier`]s — the single-step reference
+//! interpreter and the threaded-code superblock jit over its
+//! single-stepped cold path — must be **observably identical**: same
+//! retired counts, same machine-state hashes, same trap sequences at
+//! the same instruction-stream points, same console bytes. This file
+//! proves it four ways:
 //!
 //! - **bare differential**: every guest workload runs to completion on
-//!   three [`BareHost`]s, one per tier, compared chunk by chunk;
+//!   two [`BareHost`]s, one per tier, compared chunk by chunk;
 //! - **hypervised differential**: the same workloads run under the full
 //!   replicated [`FtSystem`] once per tier (including across a
 //!   failover), and the entire observable outcome (checksums, epoch
 //!   counts, simulated times, console, disk log) must match — this
 //!   exercises privileged simulation, trap reflection, TLB management
-//!   and epoch delimitation over the batching engines;
-//! - **registry sweep**: every registered workload runs bare under all
-//!   three tiers with bit-identical exit codes and console streams;
+//!   and epoch delimitation over the batching engine;
+//! - **registry sweep**: every registered workload runs bare under both
+//!   tiers with bit-identical exit codes and console streams;
 //! - **instruction-soup proptest**: randomized code (valid, privileged,
-//!   trapping and garbage words mixed) driven through all tiers with
+//!   trapping and garbage words mixed) driven through both tiers with
 //!   traps delivered bare-metal style, comparing the full event
 //!   sequence and final state hash.
 //!
-//! Self-modifying code gets its own section: a guest that patches a
-//! block the engines have already cached (and, for the jit, a compiled
-//! superblock mid-hot-loop) must behave exactly like the interpreter.
+//! Self-modifying code gets its own section: a guest that patches code
+//! it has already executed (cold, or inside a compiled superblock
+//! mid-hot-loop) must behave exactly like the interpreter.
 
 use hvft::guest::layout::RAM_BYTES;
 use hvft::guest::{
@@ -63,7 +63,7 @@ fn assert_bare_equivalent(
         h
     };
     let mut stepped = mk(ExecTier::Step);
-    let mut others = [mk(ExecTier::Block), mk(ExecTier::Jit)];
+    let mut host = mk(ExecTier::Jit);
     // Compare at chunk boundaries so a divergence is localized to
     // within `chunk` instructions of where it first occurred.
     let chunk = 10_000u64;
@@ -72,34 +72,28 @@ fn assert_bare_equivalent(
     loop {
         limit += chunk;
         let rb = stepped.run(limit);
-        for host in &mut others {
-            let tier = host.exec_tier();
-            let ra = host.run(limit);
-            assert_eq!(
-                ra.exit, rb.exit,
-                "{name}/{tier}: exits diverged at limit {limit}"
-            );
-            assert_eq!(
-                ra.retired, rb.retired,
-                "{name}/{tier}: retired counts diverged at limit {limit}"
-            );
-            assert_eq!(ra.diags, rb.diags, "{name}/{tier}: diag streams diverged");
-            assert_eq!(
-                ra.time, rb.time,
-                "{name}/{tier}: simulated time diverged at limit {limit}"
-            );
-            assert_eq!(
-                vm_state_hash(&host.cpu, &host.mem),
-                vm_state_hash(&stepped.cpu, &stepped.mem),
-                "{name}/{tier}: state hashes diverged at {} retired",
-                ra.retired
-            );
-            assert_eq!(
-                host.console.output_string(),
-                stepped.console.output_string(),
-                "{name}/{tier}: console bytes diverged"
-            );
-        }
+        let ra = host.run(limit);
+        assert_eq!(ra.exit, rb.exit, "{name}: exits diverged at limit {limit}");
+        assert_eq!(
+            ra.retired, rb.retired,
+            "{name}: retired counts diverged at limit {limit}"
+        );
+        assert_eq!(ra.diags, rb.diags, "{name}: diag streams diverged");
+        assert_eq!(
+            ra.time, rb.time,
+            "{name}: simulated time diverged at limit {limit}"
+        );
+        assert_eq!(
+            vm_state_hash(&host.cpu, &host.mem),
+            vm_state_hash(&stepped.cpu, &stepped.mem),
+            "{name}: state hashes diverged at {} retired",
+            ra.retired
+        );
+        assert_eq!(
+            host.console.output_string(),
+            stepped.console.output_string(),
+            "{name}: console bytes diverged"
+        );
         if rb.exit != BareExit::InstructionLimit {
             break;
         }
@@ -124,7 +118,7 @@ fn bare_hello_is_engine_invariant() {
         tick_work: 0,
         ..KernelConfig::default()
     };
-    assert_bare_equivalent("hello", &hello_source("block vs step\n", 2), &kcfg, |_| {});
+    assert_bare_equivalent("hello", &hello_source("jit vs step\n", 2), &kcfg, |_| {});
 }
 
 #[test]
@@ -165,13 +159,14 @@ fn bare_mixed_is_engine_invariant() {
 }
 
 // ---------------------------------------------------------------------
-// Self-modifying guest code (the riskiest block-cache path)
+// Self-modifying guest code (the riskiest derived-cache path)
 // ---------------------------------------------------------------------
 
 /// A bare-metal guest that executes a code sequence, then patches one
-/// of its instructions *after it was executed (and cached)*, and runs
-/// it again: iteration 1 executes `addi r20, r20, 1`, every later
-/// iteration must execute the patched `addi r20, r20, 100`.
+/// of its instructions *after it was executed*, and runs it again:
+/// iteration 1 executes `addi r20, r20, 1`, every later iteration must
+/// execute the patched `addi r20, r20, 100`. Five passes stay below the
+/// jit's promotion threshold, so this covers the cold path.
 const SMC_GUEST: &str = ".org 0
 start:
     addi r22, r0, 5          ; loop counter
@@ -192,7 +187,7 @@ slot:
 ";
 
 #[test]
-fn self_modifying_guest_invalidates_the_block_cache() {
+fn self_modifying_cold_guest_matches_the_interpreter() {
     let patched = encode(Instruction::AluImm {
         op: AluImmOp::Addi,
         rd: Reg::of(20),
@@ -209,30 +204,23 @@ fn self_modifying_guest_invalidates_the_block_cache() {
         (r, host)
     };
     let (rb, host_b) = run(ExecTier::Step);
-    for tier in [ExecTier::Block, ExecTier::Jit] {
-        let (ra, host_a) = run(tier);
-        assert!(matches!(ra.exit, BareExit::Halted { .. }), "{:?}", ra.exit);
-        assert_eq!(ra.exit, rb.exit, "{tier}");
-        assert_eq!(ra.retired, rb.retired, "{tier}");
-        assert_eq!(
-            vm_state_hash(&host_a.cpu, &host_a.mem),
-            vm_state_hash(&host_b.cpu, &host_b.mem),
-            "self-modifying code must behave identically on every engine ({tier})"
-        );
-        // 5 passes: 1 original (+1), 4 patched (+100 each).
-        assert_eq!(host_a.cpu.reg(Reg::of(20)), 1 + 4 * 100);
-        let stats = host_a.cpu.block_cache_stats();
-        assert!(
-            stats.invalidations >= 1,
-            "patching a cached block must invalidate it ({tier}): {stats:?}"
-        );
-    }
+    let (ra, host_a) = run(ExecTier::Jit);
+    assert!(matches!(ra.exit, BareExit::Halted { .. }), "{:?}", ra.exit);
+    assert_eq!(ra.exit, rb.exit);
+    assert_eq!(ra.retired, rb.retired);
+    assert_eq!(
+        vm_state_hash(&host_a.cpu, &host_a.mem),
+        vm_state_hash(&host_b.cpu, &host_b.mem),
+        "self-modifying code must behave identically on both engines"
+    );
+    // 5 passes: 1 original (+1), 4 patched (+100 each).
+    assert_eq!(host_a.cpu.reg(Reg::of(20)), 1 + 4 * 100);
 }
 
 /// Like [`SMC_GUEST`], but hot: the patchable routine is called 60
 /// times, far past the jit's promotion threshold, and the patch lands
 /// mid-run (when the counter reaches 30) — so it overwrites code inside
-/// a *compiled superblock*, not just a predecoded block.
+/// a *compiled superblock*, not just cold code.
 const SMC_HOT_GUEST: &str = ".org 0
 start:
     addi r22, r0, 60         ; loop counter
@@ -445,7 +433,7 @@ fn a_store_from_inside_a_cross_page_superblock_kills_its_own_trace() {
 }
 
 // ---------------------------------------------------------------------
-// Hypervised differential: the whole replicated system, block on/off
+// Hypervised differential: the whole replicated system, step vs jit
 // ---------------------------------------------------------------------
 
 fn ft_outcome(
@@ -471,47 +459,38 @@ fn assert_ft_equivalent(
     let image = build_image(kcfg, user).expect("image builds");
     let b = ft_outcome(&image, base, ExecTier::Step);
     assert!(b.lockstep_clean, "{name}: step run diverged");
-    for tier in [ExecTier::Block, ExecTier::Jit] {
-        let a = ft_outcome(&image, base, tier);
-        assert_eq!(a.exit, b.exit, "{name}/{tier}: outcomes diverged");
-        assert_eq!(
-            a.completion_time, b.completion_time,
-            "{name}/{tier}: completion times diverged"
-        );
-        assert_eq!(a.console, b.console, "{name}/{tier}: console bytes");
-        assert_eq!(
-            a.console_hosts, b.console_hosts,
-            "{name}/{tier}: console hosts"
-        );
-        assert_eq!(a.disk_log, b.disk_log, "{name}/{tier}: disk logs diverged");
-        assert_eq!(a.guest_retries, b.guest_retries, "{name}/{tier}: retries");
-        assert_eq!(
-            a.messages_per_replica, b.messages_per_replica,
-            "{name}/{tier}: message counts diverged"
-        );
-        assert_eq!(
-            a.failovers, b.failovers,
-            "{name}/{tier}: failover schedules diverged"
-        );
-        assert!(a.lockstep_clean, "{name}/{tier}: run diverged");
-        assert_eq!(
-            a.lockstep_compared, b.lockstep_compared,
-            "{name}/{tier}: lockstep comparison counts diverged"
-        );
-        // Same number of epochs, simulated instructions, reflections and
-        // interrupt deliveries on every replica.
-        let stats = |r: &RunReport| {
-            r.replica_stats
-                .iter()
-                .map(|s| (s.epochs, s.simulated, s.reflected, s.mmio, s.irqs_delivered))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            stats(&a),
-            stats(&b),
-            "{name}/{tier}: hypervisor stats diverged"
-        );
-    }
+    let a = ft_outcome(&image, base, ExecTier::Jit);
+    assert_eq!(a.exit, b.exit, "{name}: outcomes diverged");
+    assert_eq!(
+        a.completion_time, b.completion_time,
+        "{name}: completion times diverged"
+    );
+    assert_eq!(a.console, b.console, "{name}: console bytes");
+    assert_eq!(a.console_hosts, b.console_hosts, "{name}: console hosts");
+    assert_eq!(a.disk_log, b.disk_log, "{name}: disk logs diverged");
+    assert_eq!(a.guest_retries, b.guest_retries, "{name}: retries");
+    assert_eq!(
+        a.messages_per_replica, b.messages_per_replica,
+        "{name}: message counts diverged"
+    );
+    assert_eq!(
+        a.failovers, b.failovers,
+        "{name}: failover schedules diverged"
+    );
+    assert!(a.lockstep_clean, "{name}: run diverged");
+    assert_eq!(
+        a.lockstep_compared, b.lockstep_compared,
+        "{name}: lockstep comparison counts diverged"
+    );
+    // Same number of epochs, simulated instructions, reflections and
+    // interrupt deliveries on every replica.
+    let stats = |r: &RunReport| {
+        r.replica_stats
+            .iter()
+            .map(|s| (s.epochs, s.simulated, s.reflected, s.mmio, s.irqs_delivered))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(stats(&a), stats(&b), "{name}: hypervisor stats diverged");
 }
 
 #[test]
@@ -579,7 +558,7 @@ fn ft_failover_is_engine_invariant() {
 }
 
 // ---------------------------------------------------------------------
-// Registry sweep: every built-in workload under every tier
+// Registry sweep: every built-in workload under both tiers
 // ---------------------------------------------------------------------
 
 #[test]
@@ -595,16 +574,14 @@ fn every_registry_workload_is_tier_invariant() {
                 .run()
         };
         let b = run(ExecTier::Step);
-        for tier in [ExecTier::Block, ExecTier::Jit] {
-            let a = run(tier);
-            assert_eq!(a.exit, b.exit, "{name}/{tier}: exit codes diverged");
-            assert_eq!(a.retired, b.retired, "{name}/{tier}: retired diverged");
-            assert_eq!(a.console, b.console, "{name}/{tier}: console diverged");
-            assert_eq!(
-                a.completion_time, b.completion_time,
-                "{name}/{tier}: simulated time diverged"
-            );
-        }
+        let a = run(ExecTier::Jit);
+        assert_eq!(a.exit, b.exit, "{name}: exit codes diverged");
+        assert_eq!(a.retired, b.retired, "{name}: retired diverged");
+        assert_eq!(a.console, b.console, "{name}: console diverged");
+        assert_eq!(
+            a.completion_time, b.completion_time,
+            "{name}: simulated time diverged"
+        );
     }
 }
 
@@ -836,7 +813,7 @@ proptest! {
         };
         let (mut cpu_b, mut mem_b) = build();
         let log_b = drive(&mut cpu_b, &mut mem_b, false, 5_000, 400);
-        for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+        for tier in [ExecTier::Step, ExecTier::Jit] {
             let (mut cpu_a, mut mem_a) = build();
             cpu_a.set_exec_tier(tier);
             let log_a = drive(&mut cpu_a, &mut mem_a, true, 5_000, 400);
@@ -876,28 +853,19 @@ proptest! {
             (cpu, mem)
         };
         let (mut cpu_b, mut mem_b) = build();
-        let (mut cpu_blk, mut mem_blk) = build();
         let (mut cpu_jit, mut mem_jit) = build();
         cpu_jit.set_exec_tier(ExecTier::Jit);
         for _ in 0..4 {
             let log_b = drive(&mut cpu_b, &mut mem_b, false, u64::MAX, 200);
-            let log_blk = drive(&mut cpu_blk, &mut mem_blk, true, u64::MAX, 200);
             let log_jit = drive(&mut cpu_jit, &mut mem_jit, true, u64::MAX, 200);
-            prop_assert_eq!(&log_blk, &log_b, "block");
             prop_assert_eq!(&log_jit, &log_b, "jit");
-            prop_assert_eq!(cpu_blk.retired(), cpu_b.retired());
             prop_assert_eq!(cpu_jit.retired(), cpu_b.retired());
             // Re-arm and continue (drive stops at the event cap or a
             // non-trap exit; RecoveryCounter traps are delivered like
             // any other and vector to low memory).
             cpu_b.set_ctl(hvft::isa::reg::ControlReg::Rctr, epoch_len);
-            cpu_blk.set_ctl(hvft::isa::reg::ControlReg::Rctr, epoch_len);
             cpu_jit.set_ctl(hvft::isa::reg::ControlReg::Rctr, epoch_len);
         }
-        prop_assert_eq!(
-            vm_state_hash(&cpu_blk, &mem_blk),
-            vm_state_hash(&cpu_b, &mem_b)
-        );
         prop_assert_eq!(
             vm_state_hash(&cpu_jit, &mem_jit),
             vm_state_hash(&cpu_b, &mem_b)
@@ -914,7 +882,7 @@ proptest! {
         // A hot loop whose trace spans two pages, patched at a random
         // word of the SECOND page with a random replacement (valid,
         // control-transfer, trapping or garbage) at a random point
-        // after the trace is hot. All three tiers must report the same
+        // after the trace is hot. Both tiers must report the same
         // event log, retired count and final state, whatever the patch
         // turns the code into.
         let src = format!(
@@ -959,7 +927,7 @@ tail:
         };
         let (mut cpu_b, mut mem_b) = build();
         let log_b = drive(&mut cpu_b, &mut mem_b, false, 50_000, 400);
-        for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+        for tier in [ExecTier::Step, ExecTier::Jit] {
             let (mut cpu_a, mut mem_a) = build();
             cpu_a.set_exec_tier(tier);
             let log_a = drive(&mut cpu_a, &mut mem_a, true, 50_000, 400);
