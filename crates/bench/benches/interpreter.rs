@@ -89,6 +89,33 @@ fn bench_interpreter(c: &mut Criterion) {
     }
     g.annotate("cross_page_superblocks", cs.cross_page_superblocks as f64);
     g.finish();
+    // Syscall-heavy Dhrystone (a `gettime` syscall every 9th
+    // iteration, a tick every 2 ms): every trap writes kernel data on
+    // the page that holds the trap vectors and the kernel text, so this
+    // row shows what keeping unchanged code across data writes saves.
+    let sys_kcfg = KernelConfig {
+        tick_period_us: 2000,
+        tick_work: 2,
+        ..KernelConfig::default()
+    };
+    let sys_image = build_image(&sys_kcfg, &dhrystone_source(5_000, 9)).unwrap();
+    let sys_retired = {
+        host.reset(&sys_image);
+        host.run(100_000_000).retired
+    };
+    let mut g = c.benchmark_group("interpreter");
+    g.throughput(Throughput::Elements(sys_retired));
+    g.sample_size(20);
+    g.bench_function("bare_dhrystone_syscall9_5k_iters", |b| {
+        b.iter(|| {
+            host.reset(&sys_image);
+            black_box(host.run(100_000_000).retired)
+        })
+    });
+    let x = host.exec_stats();
+    g.annotate("superblocks_compiled", x.superblocks_compiled as f64);
+    g.annotate("jit_invalidations", x.jit_invalidations as f64);
+    g.finish();
     // Machine-readable record (ns/insn, insns/sec, before/after) for
     // the CI artifact; written at the workspace root.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interpreter.json");

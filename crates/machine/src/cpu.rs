@@ -246,6 +246,15 @@ impl Cpu {
         }
     }
 
+    /// Writes a register the caller knows is not `r0` (the jit
+    /// compiles every non-trapping ALU op that targets `r0` to `nop`),
+    /// skipping [`Cpu::set_reg`]'s `r0` check.
+    #[inline]
+    pub(crate) fn set_reg_nonzero(&mut self, r: Reg, value: u32) {
+        debug_assert_ne!(r.index(), 0, "r0 write reached set_reg_nonzero");
+        self.regs[r.index() as usize] = value;
+    }
+
     /// Reads a control register.
     pub fn ctl(&self, cr: ControlReg) -> u32 {
         self.ctl[cr.index() as usize]
@@ -642,9 +651,11 @@ impl Cpu {
     }
 
     /// Store counterpart of [`Cpu::access_load`], equally shared by
-    /// all engines. `Ok(())` means the store hit RAM; `Err` is the
-    /// exit to surface. Retirement is the caller's job.
-    #[inline]
+    /// all engines. `Ok` is the physical address the store wrote in RAM
+    /// (the jit checks it against the pages its trace was compiled
+    /// from); `Err` is the exit to surface. Retirement is the caller's
+    /// job.
+    #[inline(always)]
     pub(crate) fn access_store(
         &mut self,
         width: MemWidth,
@@ -652,7 +663,7 @@ impl Cpu {
         base: Reg,
         disp: i32,
         mem: &mut Memory,
-    ) -> Result<(), Exit> {
+    ) -> Result<u32, Exit> {
         let vaddr = self.reg(base).wrapping_add(disp as u32);
         if width == MemWidth::Word && !vaddr.is_multiple_of(4) {
             return Err(Exit::Trap(Trap::AlignmentFault { vaddr }));
@@ -666,7 +677,7 @@ impl Cpu {
             MemWidth::Byte | MemWidth::ByteU => mem.write_u8(paddr, value as u8),
         };
         match result {
-            Ok(()) => Ok(()),
+            Ok(()) => Ok(paddr),
             Err(MemFault::Io { paddr }) => Err(Exit::MmioWrite {
                 paddr,
                 width,
@@ -736,7 +747,7 @@ impl Cpu {
                 base,
                 disp,
             } => match self.access_store(width, rs, base, disp, mem) {
-                Ok(()) => {
+                Ok(_) => {
                     self.retire_next();
                     Exit::Retired
                 }

@@ -84,9 +84,14 @@ pub struct ExecStats {
     pub jit_retired: u64,
     /// Superblocks compiled (promotions and stale recompiles).
     pub superblocks_compiled: u64,
-    /// Compiled superblocks found stale (self-modifying code or DMA)
-    /// and recompiled or discarded.
+    /// Compiled superblocks found stale because a compiled word
+    /// changed (self-modifying code or DMA), and recompiled or
+    /// discarded.
     pub jit_invalidations: u64,
+    /// Compiled superblocks found stale whose compiled words all read
+    /// back unchanged (a data write shared one of their pages), and
+    /// kept.
+    pub jit_revalidations: u64,
     /// Subset of `jit_invalidations` where the entry page was intact
     /// and only a *secondary* page of a cross-page trace had been
     /// written.

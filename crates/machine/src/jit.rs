@@ -20,11 +20,19 @@
 //! is what lets the trace leave address order. Any branch or `jal`
 //! whose target was compiled into the trace is wired directly to the
 //! target op index, so a hot loop — calls included — executes entirely
-//! inside one superblock without re-entering the dispatcher.
-//! Compilation stops at the first `jalr`-class register-indirect jump,
+//! inside one superblock without re-entering the dispatcher. A `jalr`
+//! through a register that a `jal` earlier on the compile path wrote
+//! (and nothing since) is a *predicted return*: the trace continues at
+//! the call site, and the `jalr` is wired to it behind a runtime check
+//! that the computed target is exactly that op's PC — so a loop that
+//! calls a leaf routine also runs as one superblock.
+//! Compilation stops at any other register-indirect jump,
 //! at any privileged or trapping instruction (`gate`, `brk`, every
 //! environment op), at an undecodable word, or at an already-compiled
-//! address.
+//! address. A sentinel `End` op after the last compiled op leaves the
+//! trace at the fall-through PC, and a non-trapping ALU op whose
+//! destination is `r0` compiles to a `nop`, so straight-line op bodies
+//! need neither an end-of-trace nor an `r0` check.
 //!
 //! Unlike basic blocks, a trace may **cross pages**: a `jal` whose
 //! target lies in another page (up to `MAX_TRACE_PAGES` per trace)
@@ -32,22 +40,33 @@
 //! now*, and the trace records the secondary page as a
 //! `(entry-relative virtual base, physical page, write generation)`
 //! dependency. Every entry path — the dispatcher probe, the front
-//! table, and `JitCache::peek` during chaining — re-validates *all*
-//! recorded pages: generations must be unwritten and each secondary
+//! table, `JitCache::peek` and the link slot during chaining —
+//! re-validates *all* recorded pages: generations must be unwritten and each secondary
 //! virtual page must still translate to the recorded physical page
 //! (via side-effect-free TLB peeks, so validation frequency never
 //! perturbs snapshotted accounting). Straight-line flow still stops
 //! at an unregistered page edge, which keeps the dependency set tied
 //! to explicit call structure.
 //!
-//! The trace-terminating `jalr` carries an **inline return cache**: a
-//! per-op slot predicting the target superblock (virtual target,
-//! physical entry, arena index) plus everything the prediction's
-//! translation depended on (PSW key, TLB content generation). On a
-//! verified hit the executor jumps in-frame — no translate, no map
-//! probe; on a miss it takes the ordinary `chain!` path and
-//! re-records the slot, so a monomorphic call site (the overwhelming
-//! case: a `ret` with one hot caller) stabilizes after one miss.
+//! Every superblock carries one **link slot** predicting the superblock
+//! its exits continue in (virtual target, physical entry, arena index)
+//! plus everything the prediction's translation depended on (PSW key,
+//! TLB content generation). All exits share it: the trace-terminating
+//! `jalr` (the inline return cache), a taken branch or `jal` whose
+//! target lies outside the trace, and the fall-through past the last
+//! op. On a verified hit the executor jumps in-frame — no translate, no
+//! map probe; on a miss it translates and peeks the cache and
+//! re-records the slot, so a monomorphic exit (a `ret` with one hot
+//! caller, a loop's back edge into the trace it came from) stabilizes
+//! after one miss.
+//!
+//! Every superblock also records the `(physical address, word)` of each
+//! instruction it compiled. When a write moves a constituent page's
+//! generation, the dispatcher re-reads those words: if none changed —
+//! the write hit data sharing the page, such as the kernel data that
+//! sits next to the trap vectors on page 0 — the trace adopts the new
+//! generations and is kept (`ExecStats::jit_revalidations`); only a
+//! changed word recompiles it (`ExecStats::jit_invalidations`).
 //!
 //! # Exactness
 //!
@@ -72,12 +91,34 @@
 //!   retirement, by routing loads and stores through the same
 //!   `access_load`/`access_store` helpers the other engines use;
 //! - **self-modifying code**: a superblock records the write
-//!   generation of *every* constituent page at compile time; the
-//!   dispatcher refuses stale entries, and every compiled store
-//!   re-checks all of the superblock's pages so a trace that patches
-//!   any page it was compiled from — its own or a cross-page callee's
-//!   — abandons its compiled tail and re-fetches the patched words
-//!   exactly like the per-step path;
+//!   generation of *every* constituent page at compile time; every
+//!   entry path refuses stale entries, and the dispatcher keeps a
+//!   stale superblock only after re-reading every word it compiled and
+//!   finding each unchanged (the compiled ops are then exactly what
+//!   the per-step path would fetch and decode). A compiled store ends
+//!   its trace when the physical address it wrote lies in one of the
+//!   superblock's own pages — its entry page or a cross-page callee's
+//!   — so a trace that patches itself abandons its compiled tail and
+//!   re-fetches the patched words exactly like the per-step path.
+//!   Checking the written page alone equals re-checking every page
+//!   generation: the trace was fresh when entered, and only its own
+//!   stores have run since (a chained successor is validated afresh
+//!   when entered);
+//! - **predicted returns**: a wired `jalr` continues in-frame only when
+//!   its computed target equals the entry PC plus the recorded offset
+//!   of the op it is wired to — the same PC the per-step path would
+//!   fetch next, on a page the trace was validated for at entry;
+//!   otherwise it leaves through the link slot like any other exit;
+//! - **link slots**: a link is followed only if the target virtual PC,
+//!   the PSW key and the TLB content generation all equal the recorded
+//!   ones — translation is a pure function of these, so the recorded
+//!   physical entry is what translating would yield — and the target
+//!   passes the same `valid_at` predicate (entry address, non-empty,
+//!   every page generation, every secondary translation) as every
+//!   other entry path. A link hit skips the fetch translation, as a
+//!   return-cache hit always did, so the TLB's hit counter depends on
+//!   cache warmth; it is accounting only and never enters a state
+//!   hash;
 //! - **cross-page entry validation**: a secondary page's translation
 //!   is re-checked against the recorded physical page on every entry,
 //!   so a TLB remap, purge or privilege change makes the trace
@@ -120,9 +161,10 @@ const NO_TARGET: u32 = u32::MAX;
 /// per-entry validation cost and the blast radius of an invalidation.
 pub(crate) const MAX_TRACE_PAGES: usize = 4;
 
-/// Return-slot sentinel: `jalr` masks the low two target bits, so no
-/// computed target ever equals 1 and an empty slot can never hit.
-const RET_EMPTY: u32 = 1;
+/// Link-slot sentinel: a slot is recorded and consulted only for
+/// 4-aligned targets (`jalr` masks the low two bits; static exits are
+/// alignment-checked first), so an empty slot can never hit.
+const LINK_EMPTY: u32 = 1;
 
 /// Pre-specialized opcode of one compiled [`Op`]. One variant per
 /// instruction template: the ALU operation, memory width or branch
@@ -170,6 +212,10 @@ enum Kind {
     Jal,
     Jalr,
     Probe,
+    /// Sentinel after the final op: leaves the trace at the
+    /// fall-through PC without retiring anything, so the ops in front
+    /// of it need no end-of-trace check.
+    End,
 }
 
 /// One compiled instruction: a pre-specialized opcode plus
@@ -212,12 +258,13 @@ struct PageDep {
     gen: u64,
 }
 
-/// Inline return-cache slot of a trace-terminating `jalr`: the
-/// predicted target superblock plus everything the prediction's
-/// translation depended on.
+/// Link slot of a superblock: the superblock its last exit chained
+/// into — through the trace-terminating `jalr`, a taken branch or
+/// `jal` leaving the span, or the fall-through past the final op —
+/// plus everything that prediction's translation depended on.
 #[derive(Clone, Copy, Debug)]
-struct RetSlot {
-    /// Predicted virtual target, or [`RET_EMPTY`].
+struct LinkSlot {
+    /// Predicted virtual target, or [`LINK_EMPTY`].
     vpc: u32,
     /// Physical entry address the target translated to when recorded.
     paddr: u32,
@@ -229,9 +276,9 @@ struct RetSlot {
     psw_key: u32,
 }
 
-impl RetSlot {
-    const EMPTY: RetSlot = RetSlot {
-        vpc: RET_EMPTY,
+impl LinkSlot {
+    const EMPTY: LinkSlot = LinkSlot {
+        vpc: LINK_EMPTY,
         paddr: 0,
         idx: 0,
         tlb_gen: 0,
@@ -239,7 +286,7 @@ impl RetSlot {
     };
 }
 
-/// The PSW inputs a predicted return target's translation depends on:
+/// The PSW inputs a linked target's translation depends on:
 /// the translation-enable bit and the privilege level. A prediction is
 /// reused only while these and the TLB content generation are
 /// unchanged, which is what makes skipping the re-translation sound —
@@ -259,36 +306,41 @@ pub(crate) struct SuperBlock {
     /// Write generation of the entry page at compile time.
     gen: u64,
     /// Physical address of the entry instruction — the cache key this
-    /// superblock was compiled for (return-slot identity checks
-    /// compare it, since arena indices are reused across clears).
+    /// superblock was compiled for (link-slot identity checks compare
+    /// it, since arena indices are reused across clears).
     entry_paddr: u32,
     /// Secondary pages a cross-page trace executes from, in discovery
     /// order; empty for the common single-page trace.
     extra_pages: Box<[PageDep]>,
-    /// Entry-relative byte offset of the PC after falling off the
-    /// final op (`ops.last().off + 4`).
-    end_off: u32,
-    /// Return-cache slot of the trace-terminating `jalr`, if any.
-    /// `Cell` because predictions are recorded while the executor
-    /// holds a shared borrow of the cache (`run_chain` takes `&self`);
-    /// the dispatcher is owned per-CPU and moved — never shared —
-    /// across threads, so interior mutability without `Sync` is
-    /// exactly the contract.
-    ret_slot: Cell<RetSlot>,
+    /// `(physical address, word)` of every instruction compiled into
+    /// `ops` (for a marker: of the uncompilable entry word). A stale
+    /// superblock whose words all read back unchanged is revalidated
+    /// instead of recompiled.
+    words: Box<[(u32, u32)]>,
+    /// Link slot shared by every exit of the trace. `Cell` because
+    /// predictions are recorded while the executor holds a shared
+    /// borrow of the cache (`run_chain` takes `&self`); the dispatcher
+    /// is owned per-CPU and moved — never shared — across threads, so
+    /// interior mutability without `Sync` is exactly the contract.
+    link: Cell<LinkSlot>,
 }
 
 impl SuperBlock {
     /// Empty marker for an address that does not compile (until its
-    /// page changes again): the single-stepped cold path owns it.
-    fn marker(paddr: u32, gen: u64) -> SuperBlock {
+    /// entry word changes): the single-stepped cold path owns it.
+    fn marker(paddr: u32, gen: u64, mem: &Memory) -> SuperBlock {
         SuperBlock {
             ops: Box::new([]),
             page_addr: paddr & !(PAGE_SIZE - 1),
             gen,
             entry_paddr: paddr,
             extra_pages: Box::new([]),
-            end_off: 0,
-            ret_slot: Cell::new(RetSlot::EMPTY),
+            words: mem
+                .read_u32(paddr)
+                .map(|w| (paddr, w))
+                .into_iter()
+                .collect(),
+            link: Cell::new(LinkSlot::EMPTY),
         }
     }
 
@@ -302,6 +354,30 @@ impl SuperBlock {
                 .extra_pages
                 .iter()
                 .any(|d| mem.page_gen(d.ppage) != d.gen)
+    }
+
+    /// True when `paddr` lies in one of the pages the trace was
+    /// compiled from.
+    #[inline]
+    fn owns_page(&self, paddr: u32) -> bool {
+        let page = paddr & !(PAGE_SIZE - 1);
+        page == self.page_addr || self.extra_pages.iter().any(|d| d.ppage == page)
+    }
+
+    /// Re-reads every compiled word of a stale superblock. If all are
+    /// unchanged — the writes that moved the page generations hit data
+    /// sharing the pages, not this code — adopts the current
+    /// generations so the trace is fresh again and returns true;
+    /// otherwise leaves it stale and returns false.
+    fn revalidate(&mut self, mem: &Memory) -> bool {
+        if self.words.iter().any(|&(pa, w)| mem.read_u32(pa) != Ok(w)) {
+            return false;
+        }
+        self.gen = mem.page_gen(self.page_addr);
+        for d in self.extra_pages.iter_mut() {
+            d.gen = mem.page_gen(d.ppage);
+        }
+        true
     }
 
     /// Full entry validation for an entry at virtual PC `vpc`: every
@@ -325,7 +401,14 @@ impl SuperBlock {
 /// Builds the op for `insn` at entry-relative byte offset `off`;
 /// `index_of` maps compiled offsets to op indices for branch/`jal`
 /// wiring. `insn` must be compilable (the first pass guarantees it).
-fn build_op(off: u32, index_of: &HashMap<u32, u32, IntBuildHasher>, insn: Instruction) -> Op {
+/// `ret` is the entry-relative offset a `jalr` is predicted to return
+/// to (see [`compile`]).
+fn build_op(
+    off: u32,
+    index_of: &HashMap<u32, u32, IntBuildHasher>,
+    insn: Instruction,
+    ret: Option<u32>,
+) -> Op {
     let op = |kind: Kind, rd: Reg, rs1: Reg, rs2: Reg, imm: i32, target: u32| Op {
         kind,
         rd,
@@ -346,6 +429,16 @@ fn build_op(off: u32, index_of: &HashMap<u32, u32, IntBuildHasher>, insn: Instru
     };
     let z = Reg::ZERO;
     use Instruction as I;
+    // Writing `r0` is a no-op, so an ALU op targeting it that cannot
+    // trap does nothing at all (`divu`/`remu` can trap and stay).
+    let discards = match insn {
+        I::Alu { op, rd, .. } => rd == z && !matches!(op, AluOp::Divu | AluOp::Remu),
+        I::AluImm { rd, .. } | I::Lui { rd, .. } => rd == z,
+        _ => false,
+    };
+    if discards {
+        return op(Kind::Nop, z, z, z, 0, NO_TARGET);
+    }
     match insn {
         I::Alu {
             op: a,
@@ -433,7 +526,12 @@ fn build_op(off: u32, index_of: &HashMap<u32, u32, IntBuildHasher>, insn: Instru
             op(kind, z, rs1, rs2, offset, wire(offset))
         }
         I::Jal { rd, offset } => op(Kind::Jal, rd, z, z, offset, wire(offset)),
-        I::Jalr { rd, base, disp } => op(Kind::Jalr, rd, base, z, disp, NO_TARGET),
+        I::Jalr { rd, base, disp } => {
+            let target = ret
+                .and_then(|r| index_of.get(&r).copied())
+                .unwrap_or(NO_TARGET);
+            op(Kind::Jalr, rd, base, z, disp, target)
+        }
         I::Probe { rd, rs } => op(Kind::Probe, rd, rs, z, 0, NO_TARGET),
         other => unreachable!("non-compilable instruction {other:?} reached build_op"),
     }
@@ -457,9 +555,14 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
     // deltas from `entry_vpc`.
     let mut pages: Vec<(u32, u32)> = vec![(0u32.wrapping_sub(paddr & (PAGE_SIZE - 1)), page_addr)];
     // The trace in compile order: `(instruction, entry-relative byte
-    // offset)`. Offsets are *wrapping* deltas — a `jal` redirect may
-    // target an address before the entry.
-    let mut insns: Vec<(Instruction, u32)> = Vec::new();
+    // offset, predicted return offset of a jalr)`. Offsets are
+    // *wrapping* deltas — a `jal` redirect may target an address
+    // before the entry.
+    let mut insns: Vec<(Instruction, u32, Option<u32>)> = Vec::new();
+    // Per register, the entry-relative return offset it holds when a
+    // `jal` earlier on the compile path wrote it and nothing since.
+    let mut ret_in: [Option<u32>; 32] = [None; 32];
+    let mut words: Vec<(u32, u32)> = Vec::new();
     let mut index_of: HashMap<u32, u32, IntBuildHasher> = HashMap::default();
     let mut off: u32 = 0;
     loop {
@@ -507,7 +610,35 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
             break;
         }
         index_of.insert(off, insns.len() as u32);
-        insns.push((insn, off));
+        words.push((pa, word));
+        // A `jalr` through a register holding a return offset this
+        // trace's `jal` wrote (with a 4-aligned displacement, so the
+        // privilege bits riding in the link cannot carry) returns to a
+        // static offset: the trace continues there, and the `jalr` is
+        // wired to it behind a runtime target check.
+        let ret = match insn {
+            I::Jalr { base, disp, .. } if disp % 4 == 0 => {
+                ret_in[base.index() as usize].map(|r| r.wrapping_add(disp as u32))
+            }
+            _ => None,
+        };
+        insns.push((insn, off, ret));
+        let written = match insn {
+            I::Alu { rd, .. }
+            | I::AluImm { rd, .. }
+            | I::Lui { rd, .. }
+            | I::Load { rd, .. }
+            | I::Probe { rd, .. }
+            | I::Jal { rd, .. }
+            | I::Jalr { rd, .. } => Some(rd),
+            _ => None,
+        };
+        if let Some(rd) = written {
+            ret_in[rd.index() as usize] = match insn {
+                I::Jal { .. } if rd != Reg::ZERO => Some(off.wrapping_add(4)),
+                _ => None,
+            };
+        }
         match insn {
             // Trace compilation follows the static target of an
             // unconditional `jal` — a call's callee or a jump's
@@ -535,25 +666,48 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
                 }
                 off = toff;
             }
-            // A register-indirect jump has no static target: final op.
-            I::Jalr { .. } => break,
+            // A predicted return continues the trace at the call
+            // site when that lies on a registered page and is not yet
+            // compiled (else the wiring pass reaches it, or the `jalr`
+            // stays unwired). Any other register-indirect jump has no
+            // static target: final op.
+            I::Jalr { .. } => {
+                let Some(toff) = ret else {
+                    break;
+                };
+                let tvoff = (entry_vpc.wrapping_add(toff) & page_mask).wrapping_sub(entry_vpc);
+                if index_of.contains_key(&toff) || !pages.iter().any(|&(v, _)| v == tvoff) {
+                    break;
+                }
+                off = toff;
+            }
             // Straight-line ops and conditional branches extend the
             // trace (the not-taken path falls through).
             _ => off = off.wrapping_add(4),
         }
     }
-    let &(_, last_off) = insns.last()?;
-    let ops: Vec<Op> = insns
+    let &(_, last_off, _) = insns.last()?;
+    let mut ops: Vec<Op> = insns
         .iter()
-        .map(|&(insn, o)| build_op(o, &index_of, insn))
+        .map(|&(insn, o, ret)| build_op(o, &index_of, insn, ret))
         .collect();
+    let z = Reg::ZERO;
+    ops.push(Op {
+        kind: Kind::End,
+        rd: z,
+        rs1: z,
+        rs2: z,
+        imm: 0,
+        target: NO_TARGET,
+        off: last_off.wrapping_add(4),
+    });
     // A page registered at a `jal` follow whose first word then failed
     // to compile contributed no ops: drop it rather than record a
     // phantom dependency.
     let extra_pages: Vec<PageDep> = pages[1..]
         .iter()
         .filter(|&&(voff, _)| {
-            insns.iter().any(|&(_, o)| {
+            insns.iter().any(|&(_, o, _)| {
                 (entry_vpc.wrapping_add(o) & page_mask).wrapping_sub(entry_vpc) == voff
             })
         })
@@ -569,8 +723,8 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
         gen,
         entry_paddr: paddr,
         extra_pages: extra_pages.into_boxed_slice(),
-        end_off: last_off.wrapping_add(4),
-        ret_slot: Cell::new(RetSlot::EMPTY),
+        words: words.into_boxed_slice(),
+        link: Cell::new(LinkSlot::EMPTY),
     })
 }
 
@@ -579,10 +733,11 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
 // ---------------------------------------------------------------------
 
 impl SuperBlock {
-    /// Number of compiled ops (for tests).
+    /// Number of compiled instructions (for tests): the ops without
+    /// the [`Kind::End`] sentinel.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.ops.len()
+        self.ops.len().saturating_sub(1)
     }
 }
 
@@ -621,12 +776,12 @@ impl JitCache {
         debug_assert!(budget > 0);
         let mut sb = self.get(start);
         let mut ops = &sb.ops[..];
-        let mut n = ops.len();
         let mut entry_vpc = cpu.pc;
         let mut i: usize = 0;
-        let mut executed: u64 = 0;
+        // Budget still to spend; one decrement per retired op.
+        let mut left = budget;
         let exit = 'run: loop {
-            if executed == budget {
+            if left == 0 {
                 // Budget (caller's or the recovery counter's) spent:
                 // stop *between* instructions, PC on the next op.
                 cpu.pc = entry_vpc.wrapping_add(ops[i].off);
@@ -645,43 +800,40 @@ impl JitCache {
             }
 
             // Control-flow helpers shared by the op bodies below.
-            // `chain!` is the out-of-superblock path: with the PC
+            // `enter!` switches the frame to superblock `idx` at the
+            // PC. `chain!` is the out-of-superblock path: with the PC
             // already set, hop into the next compiled superblock if
             // one exists (fresh and aligned), else return to the
             // dispatcher. `next!` retires the op and falls through
-            // (chaining past the last op); `fault!` leaves with the
+            // (onto the `End` sentinel past the last op); `fault!`
+            // leaves with the
             // PC on the op, which did *not* retire; `taken!` retires
             // a transfer, continuing at a wired in-span op index or
             // chaining at the target.
+            macro_rules! enter {
+                ($idx:expr) => {{
+                    sb = self.get($idx);
+                    ops = &sb.ops[..];
+                    i = 0;
+                    entry_vpc = cpu.pc;
+                    continue 'run;
+                }};
+            }
             macro_rules! chain {
                 () => {{
-                    if executed == budget || !cpu.pc.is_multiple_of(4) {
+                    if left == 0 || !cpu.pc.is_multiple_of(4) {
                         break 'run None;
                     }
-                    let Ok(pa) = cpu.translate(cpu.pc, TlbAccess::Execute) else {
-                        break 'run None;
-                    };
-                    match self.peek(pa, cpu, mem) {
-                        Some(next) => {
-                            sb = self.get(next);
-                            ops = &sb.ops[..];
-                            n = ops.len();
-                            i = 0;
-                            entry_vpc = cpu.pc;
-                            continue 'run;
-                        }
-                        None => break 'run None,
+                    match self.follow(sb, cpu, mem) {
+                        Follow::Linked(next) | Follow::Chained(next) => enter!(next),
+                        Follow::Dispatch => break 'run None,
                     }
                 }};
             }
             macro_rules! next {
                 () => {{
-                    executed += 1;
+                    left -= 1;
                     i += 1;
-                    if i == n {
-                        cpu.pc = entry_vpc.wrapping_add(sb.end_off);
-                        chain!()
-                    }
                     continue 'run;
                 }};
             }
@@ -693,7 +845,7 @@ impl JitCache {
             }
             macro_rules! taken {
                 ($byte_offset:expr) => {{
-                    executed += 1;
+                    left -= 1;
                     if op.target != NO_TARGET {
                         i = op.target as usize;
                         continue 'run;
@@ -702,13 +854,20 @@ impl JitCache {
                     chain!()
                 }};
             }
+            // ALU results go through `set_reg_nonzero`: `build_op`
+            // compiles every non-trapping ALU op that targets `r0` to
+            // a `Nop`. The trapping `divu`/`remu` keep their `r0`
+            // write check.
             macro_rules! alu {
-                ($v:ident) => {{
+                ($v:ident) => {
+                    alu!($v, set_reg_nonzero)
+                };
+                ($v:ident, $set:ident) => {{
                     let a = cpu.reg(op.rs1);
                     let b = cpu.reg(op.rs2);
                     match alu_value(AluOp::$v, a, b) {
                         Some(v) => {
-                            cpu.set_reg(op.rd, v);
+                            cpu.$set(op.rd, v);
                             next!()
                         }
                         None => fault!(Exit::Trap(Trap::ArithmeticError)),
@@ -718,7 +877,7 @@ impl JitCache {
             macro_rules! alu_imm {
                 ($v:ident) => {{
                     let v = alu_imm_value(AluImmOp::$v, cpu.reg(op.rs1), op.imm);
-                    cpu.set_reg(op.rd, v);
+                    cpu.set_reg_nonzero(op.rd, v);
                     next!()
                 }};
             }
@@ -736,14 +895,18 @@ impl JitCache {
             macro_rules! store {
                 ($w:ident) => {{
                     match cpu.access_store(MemWidth::$w, op.rs1, op.rs2, op.imm, mem) {
-                        Ok(()) => {
+                        Ok(pa) => {
                             // The store may have patched one of this
                             // superblock's own pages — the entry page
                             // or a cross-page callee's — ahead of the
                             // program counter: abandon the compiled
-                            // tail and re-enter the dispatcher.
-                            if sb.pages_stale(mem) {
-                                executed += 1;
+                            // tail and re-enter the dispatcher, which
+                            // revalidates or recompiles. Checking the
+                            // written page alone is exact: the trace
+                            // was fresh when entered and only its own
+                            // stores have run since.
+                            if sb.owns_page(pa) {
+                                left -= 1;
                                 cpu.pc = vpc!().wrapping_add(4);
                                 break 'run None;
                             }
@@ -776,8 +939,8 @@ impl JitCache {
                 Kind::Slt => alu!(Slt),
                 Kind::Sltu => alu!(Sltu),
                 Kind::Mul => alu!(Mul),
-                Kind::Divu => alu!(Divu),
-                Kind::Remu => alu!(Remu),
+                Kind::Divu => alu!(Divu, set_reg),
+                Kind::Remu => alu!(Remu, set_reg),
                 Kind::Addi => alu_imm!(Addi),
                 Kind::Andi => alu_imm!(Andi),
                 Kind::Ori => alu_imm!(Ori),
@@ -788,7 +951,7 @@ impl JitCache {
                 Kind::Srai => alu_imm!(Srai),
                 Kind::Lui => {
                     // The shift happened at compile time.
-                    cpu.set_reg(op.rd, op.imm as u32);
+                    cpu.set_reg_nonzero(op.rd, op.imm as u32);
                     next!()
                 }
                 Kind::Nop => next!(),
@@ -818,61 +981,40 @@ impl JitCache {
                     let target = cpu.reg(op.rs1).wrapping_add(op.imm as u32) & !3;
                     let link = vpc!().wrapping_add(4) | u32::from(cpu.psw.cpl);
                     cpu.set_reg(op.rd, link);
-                    executed += 1;
-                    cpu.pc = target;
-                    if executed == budget {
-                        break 'run None;
-                    }
-                    // Inline return cache. The trace-terminating
-                    // `jalr` is almost always a `ret` with one hot
-                    // call site, so its target superblock is
-                    // predicted per-op. The prediction is trusted
-                    // only while nothing it depends on has moved:
-                    // same virtual target, same translation inputs
-                    // (PSW key + TLB content generation keep the
-                    // recorded physical entry current), and a fresh
-                    // superblock still compiled for that exact entry
-                    // — the same `valid_at` predicate every other
-                    // entry path uses.
-                    let slot = sb.ret_slot.get();
-                    if slot.vpc == target
-                        && slot.psw_key == psw_key(cpu)
-                        && slot.tlb_gen == cpu.tlb.content_gen()
-                        && self.valid_at(slot.idx, slot.paddr, target, cpu, mem)
+                    left -= 1;
+                    // A return to the call site this trace compiled
+                    // continues in-frame once the computed target is
+                    // exactly that op's PC.
+                    if op.target != NO_TARGET
+                        && target == entry_vpc.wrapping_add(ops[op.target as usize].off)
                     {
                         stats.ret_cache_hits += 1;
-                        sb = self.get(slot.idx);
-                        ops = &sb.ops[..];
-                        n = ops.len();
-                        i = 0;
-                        entry_vpc = target;
+                        i = op.target as usize;
                         continue 'run;
                     }
-                    stats.ret_cache_misses += 1;
-                    // Miss: the full chain path (`jalr` masks the low
-                    // target bits, so no alignment check is needed),
-                    // re-recording the slot on success so monomorphic
-                    // call sites stabilize after one miss.
-                    let Ok(pa) = cpu.translate(cpu.pc, TlbAccess::Execute) else {
+                    cpu.pc = target;
+                    if left == 0 {
                         break 'run None;
-                    };
-                    match self.peek(pa, cpu, mem) {
-                        Some(next) => {
-                            sb.ret_slot.set(RetSlot {
-                                vpc: target,
-                                paddr: pa,
-                                idx: next,
-                                tlb_gen: cpu.tlb.content_gen(),
-                                psw_key: psw_key(cpu),
-                            });
-                            sb = self.get(next);
-                            ops = &sb.ops[..];
-                            n = ops.len();
-                            i = 0;
-                            entry_vpc = target;
-                            continue 'run;
+                    }
+                    // Inline return cache: the trace-terminating
+                    // `jalr` is almost always a `ret` with one hot
+                    // call site, so the link slot predicts it like
+                    // any static exit (`jalr` masks the low target
+                    // bits, so no alignment check is needed). Hits
+                    // and misses are counted for the `jalr` alone.
+                    match self.follow(sb, cpu, mem) {
+                        Follow::Linked(next) => {
+                            stats.ret_cache_hits += 1;
+                            enter!(next)
                         }
-                        None => break 'run None,
+                        Follow::Chained(next) => {
+                            stats.ret_cache_misses += 1;
+                            enter!(next)
+                        }
+                        Follow::Dispatch => {
+                            stats.ret_cache_misses += 1;
+                            break 'run None;
+                        }
                     }
                 }
                 Kind::Probe => {
@@ -899,8 +1041,13 @@ impl JitCache {
                         })),
                     }
                 }
+                Kind::End => {
+                    cpu.pc = vpc!();
+                    chain!()
+                }
             }
         };
+        let executed = budget - left;
         cpu.sync_retire(executed);
         (executed, exit)
     }
@@ -909,6 +1056,18 @@ impl JitCache {
 // ---------------------------------------------------------------------
 // Cache and promotion
 // ---------------------------------------------------------------------
+
+/// Where a transfer out of a superblock continues.
+enum Follow {
+    /// The link slot's prediction verified: no translation, no probe.
+    Linked(u32),
+    /// Translated and found by [`JitCache::peek`]; the slot now
+    /// predicts it.
+    Chained(u32),
+    /// Cold, stale, uncompilable or untranslatable: back to the
+    /// dispatcher.
+    Dispatch,
+}
 
 /// Result of a dispatcher probe.
 pub(crate) enum Lookup {
@@ -993,6 +1152,51 @@ impl JitCache {
         self.valid_at(idx, paddr, vpc, cpu, mem).then_some(idx)
     }
 
+    /// Resolves where a transfer out of superblock `from` continues,
+    /// with the CPU's PC already on the (4-aligned) target. The link
+    /// slot is trusted only while nothing its prediction depends on
+    /// has moved: same virtual target, same translation inputs (PSW
+    /// key + TLB content generation keep the recorded physical entry
+    /// current, so the fetch translation is skipped), and a fresh
+    /// superblock still compiled for that exact entry — the same
+    /// `valid_at` predicate every other entry path uses.
+    #[inline]
+    fn follow(&self, from: &SuperBlock, cpu: &mut Cpu, mem: &Memory) -> Follow {
+        let slot = from.link.get();
+        if slot.vpc == cpu.pc
+            && slot.psw_key == psw_key(cpu)
+            && slot.tlb_gen == cpu.tlb.content_gen()
+            && self.valid_at(slot.idx, slot.paddr, cpu.pc, cpu, mem)
+        {
+            return Follow::Linked(slot.idx);
+        }
+        self.relink(from, cpu, mem)
+    }
+
+    /// [`Self::follow`] past a link-slot miss: translates the target
+    /// and peeks the cache; a hit re-records the slot, so a monomorphic
+    /// exit stabilizes after one miss.
+    #[inline(never)]
+    fn relink(&self, from: &SuperBlock, cpu: &mut Cpu, mem: &Memory) -> Follow {
+        let target = cpu.pc;
+        let Ok(paddr) = cpu.translate(target, TlbAccess::Execute) else {
+            return Follow::Dispatch;
+        };
+        match self.peek(paddr, cpu, mem) {
+            Some(idx) => {
+                from.link.set(LinkSlot {
+                    vpc: target,
+                    paddr,
+                    idx,
+                    tlb_gen: cpu.tlb.content_gen(),
+                    psw_key: psw_key(cpu),
+                });
+                Follow::Chained(idx)
+            }
+            None => Follow::Dispatch,
+        }
+    }
+
     /// Looks up the superblock starting at physical address `paddr`
     /// (the translation of the CPU's current PC), compiling it if the
     /// address just crossed the promotion threshold, recompiling if
@@ -1025,30 +1229,38 @@ impl JitCache {
     ) -> Lookup {
         let gen = mem.page_gen(paddr);
         if let Some(&idx) = self.map.get(&paddr) {
-            let sb = &self.arena[idx as usize];
-            if sb.pages_stale(mem) {
-                // Self-modifying code or DMA over a constituent page:
-                // this address is known-hot, recompile in place. An
-                // empty-ops marker records an address that no longer
-                // compiles (until the page changes again).
-                stats.jit_invalidations += 1;
-                if mem.page_gen(sb.page_addr) == sb.gen {
-                    // The entry page is intact: only a *secondary*
-                    // page of a cross-page trace was written.
-                    stats.jit_invalidations_secondary += 1;
-                }
-                let replacement = match compile(paddr, cpu.pc, gen, cpu, mem) {
-                    Some(sb) => {
-                        stats.superblocks_compiled += 1;
-                        if !sb.extra_pages.is_empty() {
-                            stats.cross_page_superblocks += 1;
-                        }
-                        sb
-                    }
-                    None => SuperBlock::marker(paddr, gen),
-                };
-                self.arena[idx as usize] = replacement;
+            if self.arena[idx as usize].pages_stale(mem) {
                 self.front_mut()[fidx] = (FRONT_EMPTY, 0);
+                let sb = &mut self.arena[idx as usize];
+                if sb.revalidate(mem) {
+                    // Data shared a page with the code (kernel data
+                    // next to the trap vectors, a stack or buffer
+                    // beside a loop): the compiled words are intact,
+                    // so the trace is kept.
+                    stats.jit_revalidations += 1;
+                } else {
+                    // Self-modifying code or DMA over a compiled
+                    // word: this address is known-hot, recompile in
+                    // place. An empty-ops marker records an address
+                    // that no longer compiles (until its entry word
+                    // changes again).
+                    stats.jit_invalidations += 1;
+                    if mem.page_gen(sb.page_addr) == sb.gen {
+                        // The entry page is intact: only a *secondary*
+                        // page of a cross-page trace was written.
+                        stats.jit_invalidations_secondary += 1;
+                    }
+                    *sb = match compile(paddr, cpu.pc, gen, cpu, mem) {
+                        Some(sb) => {
+                            stats.superblocks_compiled += 1;
+                            if !sb.extra_pages.is_empty() {
+                                stats.cross_page_superblocks += 1;
+                            }
+                            sb
+                        }
+                        None => SuperBlock::marker(paddr, gen, mem),
+                    };
+                }
             }
             let sb = &self.arena[idx as usize];
             if sb.ops.is_empty() {
@@ -1090,7 +1302,7 @@ impl JitCache {
             // word): cache an empty marker so the single-stepped cold
             // path owns this address without re-attempting
             // compilation.
-            None => SuperBlock::marker(paddr, gen),
+            None => SuperBlock::marker(paddr, gen, mem),
         };
         if self.arena.len() >= MAX_SUPERBLOCKS {
             self.clear();
@@ -1192,6 +1404,39 @@ mod tests {
         assert_eq!(sb.ops[3].target, 1);
         // The jal at index 4 targets index 0.
         assert_eq!(sb.ops[4].target, 0);
+    }
+
+    #[test]
+    fn a_return_to_the_compiled_call_site_continues_the_trace() {
+        let mem = mem_with(
+            "s: addi r4, r0, 1
+                jal  ra, f
+                addi r5, r0, 2
+                jal  r0, s
+            f:  addi r6, r0, 3
+                jalr r0, ra, 0",
+        );
+        let sb = compile_at(0, &mem).expect("superblock");
+        // addi, jal, f's addi, jalr, then the call site's addi and the
+        // closing jal back to the entry.
+        assert_eq!(sb.len(), 6);
+        assert!(matches!(sb.ops[3].kind, Kind::Jalr));
+        assert_eq!(sb.ops[3].target, 4, "the ret is wired to the call site");
+        assert_eq!(sb.ops[4].off, 8);
+        assert_eq!(sb.ops[5].target, 0);
+    }
+
+    #[test]
+    fn a_return_through_a_rewritten_link_register_is_not_predicted() {
+        let mem = mem_with(
+            "s: jal  ra, f
+                halt
+            f:  addi ra, r0, 0
+                jalr r0, ra, 0",
+        );
+        let sb = compile_at(0, &mem).expect("superblock");
+        assert_eq!(sb.len(), 3);
+        assert_eq!(sb.ops[2].target, NO_TARGET);
     }
 
     #[test]

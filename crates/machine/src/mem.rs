@@ -159,15 +159,15 @@ impl Memory {
         }
     }
 
-    #[inline]
-    fn check(&self, paddr: u32, len: u32) -> Result<usize, MemFault> {
-        let end = paddr as u64 + u64::from(len);
-        if end <= self.ram.len() as u64 {
-            Ok(paddr as usize)
-        } else if self.kind(paddr) == AddrKind::Io {
-            Err(MemFault::Io { paddr })
+    /// The fault for an access at `paddr` that RAM cannot serve (it
+    /// starts or ends outside RAM).
+    #[cold]
+    #[inline(never)]
+    fn fault(&self, paddr: u32) -> MemFault {
+        if self.kind(paddr) == AddrKind::Io {
+            MemFault::Io { paddr }
         } else {
-            Err(MemFault::Unmapped { paddr })
+            MemFault::Unmapped { paddr }
         }
     }
 
@@ -175,16 +175,21 @@ impl Memory {
     /// checks alignment before calling).
     #[inline]
     pub fn read_u32(&self, paddr: u32) -> Result<u32, MemFault> {
-        let i = self.check(paddr, 4)?;
-        let bytes: [u8; 4] = self.ram[i..i + 4].try_into().expect("checked length");
-        Ok(u32::from_le_bytes(bytes))
+        let i = paddr as usize;
+        match self.ram.get(i..i + 4) {
+            Some(&[a, b, c, d]) => Ok(u32::from_le_bytes([a, b, c, d])),
+            _ => Err(self.fault(paddr)),
+        }
     }
 
     /// Writes a little-endian word.
     #[inline]
     pub fn write_u32(&mut self, paddr: u32, value: u32) -> Result<(), MemFault> {
-        let i = self.check(paddr, 4)?;
-        self.ram[i..i + 4].copy_from_slice(&value.to_le_bytes());
+        let i = paddr as usize;
+        let Some(word) = self.ram.get_mut(i..i + 4) else {
+            return Err(self.fault(paddr));
+        };
+        word.copy_from_slice(&value.to_le_bytes());
         self.touch(paddr);
         // An unaligned word may straddle a page boundary (the CPU checks
         // alignment, but embedders may not).
@@ -197,15 +202,19 @@ impl Memory {
     /// Reads one byte.
     #[inline]
     pub fn read_u8(&self, paddr: u32) -> Result<u8, MemFault> {
-        let i = self.check(paddr, 1)?;
-        Ok(self.ram[i])
+        match self.ram.get(paddr as usize) {
+            Some(&b) => Ok(b),
+            None => Err(self.fault(paddr)),
+        }
     }
 
     /// Writes one byte.
     #[inline]
     pub fn write_u8(&mut self, paddr: u32, value: u8) -> Result<(), MemFault> {
-        let i = self.check(paddr, 1)?;
-        self.ram[i] = value;
+        let Some(byte) = self.ram.get_mut(paddr as usize) else {
+            return Err(self.fault(paddr));
+        };
+        *byte = value;
         self.touch(paddr);
         Ok(())
     }

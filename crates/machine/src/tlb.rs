@@ -106,9 +106,13 @@ fn permits(flags: u32, access: TlbAccess, user: bool) -> bool {
 
 /// Size of the direct-mapped front cache (power of two).
 const FRONT_SLOTS: usize = 16;
-/// Front-cache tag marking an empty slot (no valid vpn reaches it:
-/// vpns are at most 20 bits).
-const FRONT_EMPTY: u32 = u32::MAX;
+/// Empty front-cache slot: its vpn tag is one no valid vpn reaches
+/// (vpns are at most 20 bits).
+const FRONT_EMPTY: TlbEntry = TlbEntry {
+    vpn: u32::MAX,
+    pfn: 0,
+    flags: 0,
+};
 
 /// A fully associative, software-filled TLB.
 ///
@@ -128,12 +132,14 @@ pub struct Tlb {
     entries: Vec<Option<TlbEntry>>,
     /// vpn → slot index for O(1) lookup.
     index: std::collections::HashMap<u32, usize, crate::hash::IntBuildHasher>,
-    /// Direct-mapped front cache (vpn tag → slot), indexed by the low
-    /// vpn bits, for the common case of accesses revisiting a handful
-    /// of pages; cleared on any insert or purge. Purely an access-path
-    /// shortcut — hit/miss accounting and permission checks are
-    /// identical with or without it.
-    front: [(u32, u32); FRONT_SLOTS],
+    /// Direct-mapped front cache of entry copies (tagged by their own
+    /// vpn), indexed by the low vpn bits, for the common case of
+    /// accesses revisiting a handful of pages; cleared on any insert or
+    /// purge, so a copy is never older than the entry it mirrors. A
+    /// front hit reads no other table. Purely an access-path shortcut —
+    /// hit/miss accounting and permission checks are identical with or
+    /// without it.
+    front: [TlbEntry; FRONT_SLOTS],
     policy: TlbReplacement,
     rr_next: usize,
     rng: SimRng,
@@ -158,7 +164,7 @@ impl Tlb {
         Tlb {
             entries: vec![None; slots],
             index: std::collections::HashMap::default(),
-            front: [(FRONT_EMPTY, 0); FRONT_SLOTS],
+            front: [FRONT_EMPTY; FRONT_SLOTS],
             policy,
             rr_next: 0,
             rng: SimRng::seed_from_label(seed, "tlb"),
@@ -179,21 +185,35 @@ impl Tlb {
     }
 
     /// Looks up `vaddr` for the given access at the given privilege.
+    /// The front-cache hit is the inlined fast path; everything else
+    /// takes the out-of-line indexed path.
     #[inline]
     pub fn lookup(&mut self, vaddr: u32, access: TlbAccess, user: bool) -> TlbResult {
         let vpn = vaddr >> PAGE_SHIFT;
-        let fidx = (vpn as usize) & (FRONT_SLOTS - 1);
-        let slot = if self.front[fidx].0 == vpn {
-            self.front[fidx].1 as usize
-        } else {
-            let Some(&slot) = self.index.get(&vpn) else {
-                self.misses += 1;
-                return TlbResult::Miss;
-            };
-            self.front[fidx] = (vpn, slot as u32);
-            slot
+        let entry = self.front[(vpn as usize) & (FRONT_SLOTS - 1)];
+        if entry.vpn == vpn {
+            return self.check(entry, vaddr, access, user);
+        }
+        self.lookup_indexed(vaddr, access, user)
+    }
+
+    /// [`Tlb::lookup`] past a front-cache miss: the full index, which
+    /// refills the front slot on a hit.
+    #[inline(never)]
+    fn lookup_indexed(&mut self, vaddr: u32, access: TlbAccess, user: bool) -> TlbResult {
+        let vpn = vaddr >> PAGE_SHIFT;
+        let Some(&slot) = self.index.get(&vpn) else {
+            self.misses += 1;
+            return TlbResult::Miss;
         };
         let entry = self.entries[slot].expect("indexed slot must be valid");
+        self.front[(vpn as usize) & (FRONT_SLOTS - 1)] = entry;
+        self.check(entry, vaddr, access, user)
+    }
+
+    /// The counted permission check shared by both lookup paths.
+    #[inline]
+    fn check(&mut self, entry: TlbEntry, vaddr: u32, access: TlbAccess, user: bool) -> TlbResult {
         if permits(entry.flags, access, user) {
             self.hits += 1;
             TlbResult::Hit(entry.translate(vaddr))
@@ -231,7 +251,7 @@ impl Tlb {
     /// Inserts a mapping, evicting per the replacement policy if full.
     /// An existing entry for the same page is overwritten in place.
     pub fn insert(&mut self, entry: TlbEntry) {
-        self.front = [(FRONT_EMPTY, 0); FRONT_SLOTS];
+        self.front = [FRONT_EMPTY; FRONT_SLOTS];
         self.content_gen += 1;
         if let Some(&slot) = self.index.get(&entry.vpn) {
             self.entries[slot] = Some(entry);
@@ -267,7 +287,7 @@ impl Tlb {
 
     /// Purges the entry covering `vaddr`, if any.
     pub fn purge(&mut self, vaddr: u32) {
-        self.front = [(FRONT_EMPTY, 0); FRONT_SLOTS];
+        self.front = [FRONT_EMPTY; FRONT_SLOTS];
         self.content_gen += 1;
         let vpn = vaddr >> PAGE_SHIFT;
         if let Some(slot) = self.index.remove(&vpn) {
@@ -277,7 +297,7 @@ impl Tlb {
 
     /// Purges every entry.
     pub fn purge_all(&mut self) {
-        self.front = [(FRONT_EMPTY, 0); FRONT_SLOTS];
+        self.front = [FRONT_EMPTY; FRONT_SLOTS];
         self.content_gen += 1;
         self.index.clear();
         self.entries.iter_mut().for_each(|e| *e = None);
@@ -324,7 +344,7 @@ impl Tlb {
                 self.index.insert(e.vpn, slot);
             }
         }
-        self.front = [(FRONT_EMPTY, 0); FRONT_SLOTS];
+        self.front = [FRONT_EMPTY; FRONT_SLOTS];
         // Derived, not snapshotted: any bump conservatively invalidates
         // stale translation predictions (and restores rebuild the jit
         // caches cold anyway).

@@ -6,7 +6,9 @@
 //! `sample_size`/`throughput`/`bench_with_input`, [`BenchmarkId`],
 //! [`Throughput`], and the [`criterion_group!`]/[`criterion_main!`]
 //! macros — with plain wall-clock timing and stdout reporting instead
-//! of criterion's statistical machinery.
+//! of criterion's statistical machinery. Each row records the mean,
+//! the minimum, the median and the spread (interquartile range over
+//! median) of its samples, so a reader can tell a change from noise.
 
 use std::time::{Duration, Instant};
 
@@ -18,6 +20,13 @@ pub struct Measurement {
     pub label: String,
     /// Mean wall-clock nanoseconds per iteration.
     pub ns_per_iter: f64,
+    /// Fastest sample, in nanoseconds per iteration.
+    pub min_ns_per_iter: f64,
+    /// Median sample, in nanoseconds per iteration.
+    pub median_ns_per_iter: f64,
+    /// Interquartile range of the samples over their median (0 for a
+    /// single sample).
+    pub spread: f64,
     /// Elements processed per iteration, when declared via
     /// [`Throughput::Elements`].
     pub elements_per_iter: Option<u64>,
@@ -37,13 +46,16 @@ impl Measurement {
         // specials anyway.
         let label = self.label.replace('\\', "\\\\").replace('"', "\\\"");
         let mut s = format!(
-            "{{\"label\": \"{label}\", \"ns_per_iter\": {:.3}",
-            self.ns_per_iter
+            "{{\"label\": \"{label}\", \"ns_per_iter\": {:.3}, \"min_ns_per_iter\": {:.3}, \
+             \"median_ns_per_iter\": {:.3}, \"spread\": {:.4}",
+            self.ns_per_iter, self.min_ns_per_iter, self.median_ns_per_iter, self.spread
         );
         if let Some(n) = self.elements_per_iter {
             s.push_str(&format!(
-                ", \"elements_per_iter\": {n}, \"ns_per_element\": {:.3}, \"elements_per_sec\": {:.1}",
+                ", \"elements_per_iter\": {n}, \"ns_per_element\": {:.3}, \
+                 \"median_ns_per_element\": {:.3}, \"elements_per_sec\": {:.1}",
                 self.ns_per_iter / n as f64,
+                self.median_ns_per_iter / n as f64,
                 n as f64 / (self.ns_per_iter * 1e-9)
             ));
         }
@@ -96,8 +108,8 @@ impl BenchmarkId {
 /// Passed to the closure given to `bench_function`; call [`Bencher::iter`].
 pub struct Bencher {
     samples: usize,
-    /// (total duration, total iterations) accumulated by `iter`.
-    measured: Option<(Duration, u64)>,
+    /// One duration per timed iteration, recorded by `iter`.
+    measured: Option<Vec<Duration>>,
 }
 
 impl Bencher {
@@ -105,40 +117,58 @@ impl Bencher {
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         // One untimed warm-up call.
         std::hint::black_box(routine());
-        let mut total = Duration::ZERO;
-        let mut iters = 0u64;
+        let mut times = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
             let start = Instant::now();
             std::hint::black_box(routine());
-            total += start.elapsed();
-            iters += 1;
+            times.push(start.elapsed());
         }
-        self.measured = Some((total, iters));
+        self.measured = Some(times);
     }
+}
+
+/// The `q`-quantile of ascending `sorted` samples, interpolating
+/// linearly between neighbours.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
 fn report(
     label: &str,
-    measured: Option<(Duration, u64)>,
+    measured: Option<Vec<Duration>>,
     throughput: Option<Throughput>,
 ) -> Option<Measurement> {
-    let Some((total, iters)) = measured else {
+    let Some(times) = measured.filter(|t| !t.is_empty()) else {
         println!("{label:<40} (no measurement)");
         return None;
     };
-    let per_iter = total.as_secs_f64() / iters as f64;
+    let mut ns: Vec<f64> = times.iter().map(|t| t.as_secs_f64() * 1e9).collect();
+    ns.sort_by(f64::total_cmp);
+    let per_iter = ns.iter().sum::<f64>() / ns.len() as f64 * 1e-9;
+    let median = quantile(&ns, 0.5);
+    let spread = if median > 0.0 {
+        (quantile(&ns, 0.75) - quantile(&ns, 0.25)) / median
+    } else {
+        0.0
+    };
     let rate = match throughput {
         Some(Throughput::Elements(n)) => format!("  {:.3e} elem/s", n as f64 / per_iter),
         Some(Throughput::Bytes(n)) => format!("  {:.3e} B/s", n as f64 / per_iter),
         None => String::new(),
     };
     println!(
-        "{label:<40} {:>12.3?}/iter{rate}",
-        Duration::from_secs_f64(per_iter)
+        "{label:<40} {:>12.3?}/iter (median {:.3?}, spread {spread:.3}){rate}",
+        Duration::from_secs_f64(per_iter),
+        Duration::from_secs_f64(median * 1e-9)
     );
     Some(Measurement {
         label: label.to_owned(),
         ns_per_iter: per_iter * 1e9,
+        min_ns_per_iter: ns[0],
+        median_ns_per_iter: median,
+        spread,
         elements_per_iter: match throughput {
             Some(Throughput::Elements(n)) => Some(n),
             _ => None,
@@ -359,7 +389,29 @@ mod tests {
         assert!(doc.contains("\"label\": \"grp/counted\""));
         assert!(doc.contains("\"elements_per_iter\": 100"));
         assert!(doc.contains("\"ns_per_element\":"));
+        assert!(doc.contains("\"median_ns_per_element\":"));
+        assert!(doc.contains("\"spread\":"));
         assert!(doc.starts_with("{\n  \"benchmarks\": ["));
+    }
+
+    #[test]
+    fn rows_record_min_median_and_spread() {
+        let mut sorted = [4.0, 1.0, 3.0, 2.0, 5.0];
+        sorted.sort_by(f64::total_cmp);
+        assert_eq!(quantile(&sorted, 0.5), 3.0);
+        assert_eq!(quantile(&sorted, 0.25), 2.0);
+        assert_eq!(quantile(&sorted, 0.75), 4.0);
+        assert_eq!(quantile(&[1.0, 2.0], 0.5), 1.5);
+        let mut c = Criterion::default();
+        let mut g = c.benchmark_group("grp");
+        g.sample_size(5).bench_function("spin", |b| {
+            b.iter(|| std::hint::black_box((0..100u64).sum::<u64>()))
+        });
+        g.finish();
+        let m = &c.measurements()[0];
+        assert!(m.min_ns_per_iter <= m.median_ns_per_iter);
+        assert!(m.min_ns_per_iter <= m.ns_per_iter);
+        assert!(m.spread >= 0.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! paper's `RT`), then the replicated system (`N′`), printing the
 //! normalized performance, coordination bookkeeping and the execution-
 //! tier breakdown (instructions retired per engine, superblocks
-//! compiled, invalidations) for each.
+//! compiled, invalidations, revalidations) for each.
 
 use hvft::core::scenario::{ExecStats, ExecTier, Scenario};
 use hvft::guest::workload::names;
@@ -31,11 +31,12 @@ fn tier_summary(x: &ExecStats) -> String {
     }
     if x.superblocks_compiled > 0 {
         parts.push(format!(
-            "{} superblocks ({} cross-page), {} invalidations ({} secondary)",
+            "{} superblocks ({} cross-page), {} invalidations ({} secondary), {} revalidations",
             x.superblocks_compiled,
             x.cross_page_superblocks,
             x.jit_invalidations,
-            x.jit_invalidations_secondary
+            x.jit_invalidations_secondary,
+            x.jit_revalidations
         ));
     }
     let ret_total = x.ret_cache_hits + x.ret_cache_misses;

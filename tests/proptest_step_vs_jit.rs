@@ -433,6 +433,352 @@ fn a_store_from_inside_a_cross_page_superblock_kills_its_own_trace() {
 }
 
 // ---------------------------------------------------------------------
+// Data next to code, and stale link slots
+// ---------------------------------------------------------------------
+
+/// Runs `build`'s machine once on the Step tier, recording the state
+/// hash after every retired instruction, then `PASSES` times on the
+/// Jit tier in chunks — pass `p` first runs `p + 1` instructions, then
+/// `PASSES` at a time — so every instruction count is a chunk boundary
+/// of exactly one pass, while the chunks stay long enough for
+/// superblocks to chain and link. Traps are delivered bare-metal
+/// style on both tiers. Each Jit chunk boundary must reproduce the
+/// recorded hash, retired count and trap sequence. Returns the last
+/// Jit pass's machine.
+fn assert_jit_matches_step_at_every_instruction(
+    name: &str,
+    build: &dyn Fn() -> (Cpu, Memory),
+    max_retired: u64,
+) -> (Cpu, Memory) {
+    const PASSES: u64 = 8;
+    let (mut cpu, mut mem) = build();
+    cpu.set_exec_tier(ExecTier::Step);
+    // `hashes[n]`: the state when the count first reaches `n`;
+    // `delivered[k]`: the state right after delivering trap `k`.
+    let mut hashes = vec![vm_state_hash(&cpu, &mem)];
+    let mut events = Vec::new();
+    let mut delivered = Vec::new();
+    let end = loop {
+        match cpu.run(&mut mem, 1) {
+            Exit::Retired => hashes.push(vm_state_hash(&cpu, &mem)),
+            Exit::Trap(t) => {
+                events.push((cpu.retired(), cpu.pc, t));
+                cpu.deliver_trap(t);
+                delivered.push(vm_state_hash(&cpu, &mem));
+            }
+            other => break other,
+        }
+        assert!(
+            cpu.retired() < max_retired && events.len() < 1_000,
+            "{name}: no exit (pc {:#x}, last trap {:?})",
+            cpu.pc,
+            events.last()
+        );
+    };
+    let total = cpu.retired();
+    let mut last = None;
+    for pass in 0..PASSES {
+        let (mut cpu, mut mem) = build();
+        cpu.set_exec_tier(ExecTier::Jit);
+        let mut jit_events = Vec::new();
+        let mut chunk = pass + 1;
+        let exit = loop {
+            let goal = cpu.retired() + chunk;
+            let e = cpu.run(&mut mem, goal - cpu.retired());
+            let expected = if let Exit::Trap(t) = e {
+                jit_events.push((cpu.retired(), cpu.pc, t));
+                cpu.deliver_trap(t);
+                let k = jit_events.len() - 1;
+                assert_eq!(jit_events[k], events[k], "{name}: pass {pass}: trap {k}");
+                delivered[k]
+            } else if e != Exit::Retired {
+                break e;
+            } else {
+                assert_eq!(cpu.retired(), goal, "{name}: pass {pass}");
+                assert!(goal <= total, "{name}: pass {pass}: ran past the end");
+                chunk = PASSES;
+                hashes[goal as usize]
+            };
+            assert_eq!(
+                vm_state_hash(&cpu, &mem),
+                expected,
+                "{name}: pass {pass}: state diverged at {} retired (pc {:#x})",
+                cpu.retired(),
+                cpu.pc
+            );
+        };
+        assert_eq!(exit, end, "{name}: pass {pass}: final exit");
+        assert_eq!(cpu.retired(), total, "{name}: pass {pass}");
+        assert_eq!(jit_events, events, "{name}: pass {pass}: trap sequence");
+        last = Some((cpu, mem));
+    }
+    last.expect("at least one pass")
+}
+
+fn machine_with(src: &str, pokes: &[(u32, u32)]) -> (Cpu, Memory) {
+    let image = hvft::isa::asm::assemble(src).expect("asm");
+    let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
+    let mut mem = Memory::new(64 * 1024);
+    for seg in &image.segments {
+        mem.write_bytes(seg.base, &seg.data);
+    }
+    for &(addr, word) in pokes {
+        mem.write_u32(addr, word).unwrap();
+    }
+    cpu.pc = image.entry;
+    (cpu, mem)
+}
+
+/// A hot loop whose data word lives on its own code page: every
+/// iteration's store moves the page's write generation although no
+/// instruction changes.
+const FALSE_SHARING_GUEST: &str = ".org 0
+start:
+    addi r22, r0, 400
+loop:
+    sw   r22, 2048(r0)       ; data on the code page
+    lw   r23, 2048(r0)
+    add  r20, r20, r23
+    sb   r22, 2053(r0)
+    addi r22, r22, -1
+    bne  r22, r0, loop
+    halt
+";
+
+#[test]
+fn a_loop_storing_data_into_its_own_code_page_is_revalidated_not_recompiled() {
+    let (cpu, _) = assert_jit_matches_step_at_every_instruction(
+        "false-sharing",
+        &|| machine_with(FALSE_SHARING_GUEST, &[]),
+        100_000,
+    );
+    assert_eq!(cpu.reg(Reg::of(20)), (1..=400).sum::<u32>());
+    let x = cpu.exec_stats();
+    assert!(x.jit_retired > 0, "the hot loop must run compiled: {x:?}");
+    assert!(
+        x.superblocks_compiled <= 8,
+        "data stores must not recompile unchanged code: {x:?}"
+    );
+    assert_eq!(x.jit_invalidations, 0, "no instruction changed: {x:?}");
+    assert!(x.jit_revalidations > 0, "{x:?}");
+}
+
+/// Two superblocks on different pages that exit into each other: the
+/// loop head (page 0) leaves by a taken `beq` and the body (page 1)
+/// returns by `jalr`, so each exit is served by a link slot. Mid-run
+/// the loop head patches the body's first word, and later the body
+/// patches a word of the loop head — each time the *successor* of a
+/// cached link goes stale while the superblock holding the link stays
+/// fresh and keeps running.
+const STALE_LINK_GUEST: &str = ".org 0
+start:
+    addi r22, r0, 60
+    lw   r21, 512(r0)        ; replacement for `body` (poked)
+    lw   r24, 516(r0)        ; replacement for `count` (poked)
+    addi r25, r0, loop
+loop:
+    beq  r22, r0, done
+    addi r23, r22, -40
+    bne  r23, r0, count
+    sw   r21, 4096(r0)       ; patch the successor behind A's link
+count:
+    addi r20, r20, 1         ; becomes: addi r20, r20, 10
+    beq  r0, r0, body        ; static exit into page 1
+done:
+    halt
+
+    .org 4096
+body:
+    addi r20, r20, 2         ; becomes: addi r20, r20, 100
+    addi r22, r22, -1
+    addi r23, r22, -20
+    bne  r23, r0, back
+    sw   r24, count(r0)      ; patch `count` behind B's link
+back:
+    jalr r0, r25, 0
+";
+
+#[test]
+fn patching_a_link_cached_successor_matches_the_interpreter() {
+    let imm = |rd: u8, imm: i32| {
+        encode(Instruction::AluImm {
+            op: AluImmOp::Addi,
+            rd: Reg::of(rd),
+            rs1: Reg::of(rd),
+            imm,
+        })
+        .unwrap()
+    };
+    let (cpu, _) = assert_jit_matches_step_at_every_instruction(
+        "stale-link",
+        &|| machine_with(STALE_LINK_GUEST, &[(512, imm(20, 100)), (516, imm(20, 10))]),
+        100_000,
+    );
+    // Loop head: 40 passes of +1, then 20 of +10. Body: 20 passes of
+    // +2, then 40 of +100.
+    assert_eq!(cpu.reg(Reg::of(20)), 40 + 200 + 40 + 4000);
+    let x = cpu.exec_stats();
+    assert!(x.ret_cache_hits > 0, "the body's jalr must link: {x:?}");
+    assert!(
+        x.jit_invalidations >= 2,
+        "both patches must recompile their superblock: {x:?}"
+    );
+}
+
+/// One callee reached from two call sites in one trace. The trace
+/// compiles the first call, the callee and the first site's
+/// continuation, so the callee's `ret` is predicted to return there;
+/// calls from the second site reach the same compiled `ret` with
+/// another return address, fail the target check and leave through
+/// the link slot.
+const TWO_CALL_SITES_GUEST: &str = ".org 0
+start:
+    addi r22, r0, 80
+loop:
+    andi r23, r22, 1
+    bne  r23, r0, other
+    jal  ra, f               ; even: this call site
+    addi r20, r20, 1
+    beq  r0, r0, tail
+other:
+    jal  ra, f               ; odd: the other call site
+    addi r20, r20, 10
+tail:
+    addi r22, r22, -1
+    bne  r22, r0, loop
+    halt
+f:
+    addi r21, r21, 1
+    jalr r0, ra, 0
+";
+
+#[test]
+fn a_predicted_return_to_the_wrong_call_site_matches_the_interpreter() {
+    let (cpu, _) = assert_jit_matches_step_at_every_instruction(
+        "two-call-sites",
+        &|| machine_with(TWO_CALL_SITES_GUEST, &[]),
+        100_000,
+    );
+    assert_eq!(cpu.reg(Reg::of(20)), 40 + 40 * 10);
+    assert_eq!(cpu.reg(Reg::of(21)), 80);
+    let x = cpu.exec_stats();
+    assert!(x.ret_cache_hits > 0, "{x:?}");
+    assert!(x.jit_retired > 0, "{x:?}");
+}
+
+/// The kernel-mode variant: the guest runs at privilege 0 with
+/// translation on and reaches its body at virtual page 5 through a
+/// linked `beq`. Mid-run it remaps page 5 to another physical page
+/// holding different code, and later purges the mapping, so the next
+/// entry takes a TLB miss whose handler maps page 5 back. Every link
+/// slot predicting page 5 is stale after each of these.
+const STALE_LINK_KERNEL_GUEST: &str = ".org 0
+start:
+    addi r9, r0, 15          ; pte: page 0 identity, V|R|W|X
+    tlbi r0, r9
+    li   r5, 0x5000
+    li   r6, 0x100B          ; pte: page 1, V|R|X
+    tlbi r5, r6
+    li   r10, 0x0C00
+    mtctl iva, r10
+    li   r27, 0x5000
+    li   r28, 0x200B         ; pte: page 2, V|R|X
+    addi r25, r0, loop
+    addi r22, r0, 60
+    ssm  2                   ; translation on
+loop:
+    beq  r22, r0, done
+    addi r23, r22, -40
+    bne  r23, r0, purge
+    tlbi r27, r28            ; remap page 5 to page 2
+purge:
+    addi r23, r22, -20
+    bne  r23, r0, count
+    li   r28, 0x100B         ; the miss handler maps page 1 back
+    tlbp r27                 ; purge page 5
+count:
+    addi r20, r20, 1
+    beq  r0, r0, vbody       ; static exit into virtual page 5
+done:
+    halt
+
+    .org 0x0C60              ; TLB-miss vector (translation off)
+    tlbi r27, r28
+    rfi
+
+    .org 0x1000
+    addi r20, r20, 2
+    addi r22, r22, -1
+    jalr r0, r25, 0
+
+    .org 0x2000
+    addi r20, r20, 100
+    addi r22, r22, -1
+    jalr r0, r25, 0
+
+    .org 0x5000              ; virtual only: no memory behind it
+vbody:
+";
+
+#[test]
+fn remapping_or_purging_a_link_cached_successor_matches_the_interpreter() {
+    let (cpu, _) = assert_jit_matches_step_at_every_instruction(
+        "stale-link-kernel",
+        &|| machine_with(STALE_LINK_KERNEL_GUEST, &[]),
+        100_000,
+    );
+    // Page 1's body for r22 = 60..=41 and 20..=1, page 2's for 40..=21.
+    assert_eq!(cpu.reg(Reg::of(20)), 60 + 40 * 2 + 20 * 100);
+    let x = cpu.exec_stats();
+    assert!(x.ret_cache_hits > 0, "the body's jalr must link: {x:?}");
+    assert!(x.jit_retired > 0, "{x:?}");
+}
+
+/// Guests whose kernel data shares page 0 with the trap vectors and
+/// the kernel text: every syscall and tick writes that page. The
+/// unchanged vector stub and kernel traces must be kept, not
+/// recompiled on every trap.
+#[test]
+fn kernel_data_writes_do_not_recompile_the_vector_page() {
+    let hello = Scenario::builder()
+        .workload_named("hello")
+        .bare()
+        .exec_tier(ExecTier::Jit)
+        .build()
+        .expect("registry scenario is valid")
+        .run();
+    assert!(hello.exit.is_clean_exit(), "{:?}", hello.exit);
+    let x = hello.exec_stats();
+    assert!(x.superblocks_compiled <= 40, "hello: {x:?}");
+    assert!(x.jit_revalidations > 0, "hello: {x:?}");
+
+    let kcfg = KernelConfig {
+        tick_period_us: 2000,
+        tick_work: 2,
+        ..KernelConfig::default()
+    };
+    let image = build_image(&kcfg, &dhrystone_source(3_000, 9)).expect("image builds");
+    let r = Scenario::builder()
+        .image(image)
+        .functional_cost()
+        .backups(2)
+        .lockstep(false)
+        .exec_tier(ExecTier::Jit)
+        .build()
+        .expect("scenario is valid")
+        .run();
+    assert!(r.exit.is_clean_exit(), "{:?}", r.exit);
+    for (i, s) in r.replica_stats.iter().enumerate() {
+        let x = s.exec;
+        assert!(
+            x.superblocks_compiled <= 60,
+            "dhrystone replica {i}: 333 syscalls must not recompile: {x:?}"
+        );
+        assert!(x.jit_invalidations <= 10, "dhrystone replica {i}: {x:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Hypervised differential: the whole replicated system, step vs jit
 // ---------------------------------------------------------------------
 
